@@ -94,7 +94,10 @@ class GPPosterior:
     def variance_batch(self, X) -> np.ndarray:
         """Posterior variance at each row of X, reusing the factorization."""
         Xp = as_points(X)
-        priors = np.array([self.kernel.prior_variance(row) for row in Xp])
+        if self.kernel.isotropic:
+            priors = np.full(Xp.shape[0], float(self.kernel.signal_variance))
+        else:
+            priors = np.array([self.kernel.prior_variance(row) for row in Xp])
         if self.train.n == 0:
             return priors
         K_x = kernel_matrix(self.kernel, self.train.inputs, Xp)

@@ -144,3 +144,13 @@ def test_factorization_failure_is_reported():
     train = TrainingSet([1.0, 1.0], 1e-300)
     with pytest.raises(FactorizationError):
         GPPosterior(train, squared_exponential())
+
+
+def test_batch_prior_is_each_points_prior_variance():
+    """With no samples the batch returns the prior at each point, for
+    isotropic and inner-product kernels alike."""
+    xs = np.linspace(-1.0, 2.0, 7)
+    for k in (squared_exponential(signal_variance=0.7), make_kernel("polynomial")):
+        post = GPPosterior(TrainingSet(np.empty(0), 0.1), k)
+        expected = np.array([k.prior_variance(x) for x in xs])
+        assert np.array_equal(post.variance_batch(xs), expected)
