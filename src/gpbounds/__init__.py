@@ -1,15 +1,15 @@
 """Gaussian process posterior-variance bounds, convergence diagnostics,
 and averaged learning-curve estimates for one-dimensional inputs."""
 
-from .kernels import (ALL_KINDS, ISOTROPIC_KINDS, MATERN_HALF, NEURAL_NETWORK,
-                      PERIODIC, POLYNOMIAL, RATIONAL_QUADRATIC,
+from .kernels import (ALL_KINDS, ISOTROPIC_KINDS, KERNEL_PARAMS, MATERN_HALF,
+                      NEURAL_NETWORK, PERIODIC, POLYNOMIAL, RATIONAL_QUADRATIC,
                       SQUARED_EXPONENTIAL, Kernel, KernelError,
                       LipschitzEstimate, kernel_matrix, kernel_vector,
                       lipschitz_constant, make_kernel, matern_half,
                       neural_network, periodic, polynomial,
                       rational_quadratic, squared_exponential)
-from .gp import (FactorizationError, GPPosterior, PosteriorQuery, TrainingSet,
-                 posterior_mean, posterior_variance)
+from .gp import (FactorizationError, GPPosterior, TrainingSet, posterior_mean,
+                 posterior_variance)
 from .bounds import (BallCount, BoundError, BoundReport, RadiusSchedule,
                      ball_count, bound_report, isotropic_bound,
                      lipschitz_bound, one_point_bound, radius_at,
@@ -31,13 +31,13 @@ from .experiments import (ConfigError, ExperimentConfig, PRESETS, log_grid,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_KINDS", "ISOTROPIC_KINDS", "MATERN_HALF", "NEURAL_NETWORK",
+    "ALL_KINDS", "ISOTROPIC_KINDS", "KERNEL_PARAMS", "MATERN_HALF", "NEURAL_NETWORK",
     "PERIODIC", "POLYNOMIAL", "RATIONAL_QUADRATIC", "SQUARED_EXPONENTIAL",
     "Kernel", "KernelError", "LipschitzEstimate", "kernel_matrix",
     "kernel_vector", "lipschitz_constant", "make_kernel", "matern_half",
     "neural_network", "periodic", "polynomial", "rational_quadratic",
     "squared_exponential",
-    "FactorizationError", "GPPosterior", "PosteriorQuery", "TrainingSet",
+    "FactorizationError", "GPPosterior", "TrainingSet",
     "posterior_mean", "posterior_variance",
     "BallCount", "BoundError", "BoundReport", "RadiusSchedule", "ball_count",
     "bound_report", "isotropic_bound", "lipschitz_bound", "one_point_bound",

@@ -17,7 +17,8 @@ ball growth:            n, mean_count, min_count, expected_count
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -25,9 +26,10 @@ from . import convergence as conv
 from .bounds import RadiusSchedule, bound_report, radius_at
 from .curves import monte_carlo_curve
 from .gp import TrainingSet
-from .kernels import (ALL_KINDS, MATERN_HALF, NEURAL_NETWORK, PERIODIC,
-                      POLYNOMIAL, RATIONAL_QUADRATIC, SQUARED_EXPONENTIAL,
-                      Kernel, KernelError, lipschitz_constant, make_kernel)
+from .kernels import (ALL_KINDS, KERNEL_PARAMS, MATERN_HALF, NEURAL_NETWORK,
+                      PERIODIC, POLYNOMIAL, RATIONAL_QUADRATIC,
+                      SQUARED_EXPONENTIAL, Kernel, KernelError,
+                      lipschitz_constant, make_kernel)
 
 VARIANCE_UNIFORM = "variance-uniform"
 VARIANCE_VANISHING = "variance-vanishing"
@@ -80,21 +82,21 @@ class ExperimentConfig:
     bound_form: str = "proof"
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def _parse_value(key: str, raw: str):
     kind = _FIELD_TYPES[key]
     try:
-        if kind == "int":
+        if kind is int:
             return int(raw)
-        if kind == "bool":
+        if kind is bool:
             if raw.lower() in ("true", "yes", "1", "on"):
                 return True
             if raw.lower() in ("false", "no", "0", "off"):
                 return False
             raise ValueError(raw)
-        if kind in ("float", "float | None"):
+        if kind in (float, float | None):
             return float(raw)
         return raw
     except ValueError:
@@ -148,23 +150,11 @@ def resolved_schedule_alpha(cfg: ExperimentConfig) -> float:
 
 
 def config_kernel(cfg: ExperimentConfig) -> Kernel:
-    kind = cfg.kernel
-    if kind not in ALL_KINDS:
-        raise ConfigError(f"config key 'kernel': unknown kind {kind!r}")
-    params = {"signal_variance": cfg.signal_variance}
-    if kind in (SQUARED_EXPONENTIAL, MATERN_HALF, RATIONAL_QUADRATIC, PERIODIC):
-        params["lengthscale"] = cfg.lengthscale
-    if kind == RATIONAL_QUADRATIC:
-        params["alpha"] = cfg.alpha
-    if kind == PERIODIC:
-        params["period"] = cfg.period
-    if kind == POLYNOMIAL:
-        params.update(offset=cfg.offset, degree=cfg.degree)
-    if kind == NEURAL_NETWORK:
-        params.update(bias_variance=cfg.bias_variance,
-                      weight_variance=cfg.weight_variance)
+    if cfg.kernel not in ALL_KINDS:
+        raise ConfigError(f"config key 'kernel': unknown kind {cfg.kernel!r}")
+    params = {name: getattr(cfg, name) for name in KERNEL_PARAMS[cfg.kernel]}
     try:
-        return make_kernel(kind, **params)
+        return make_kernel(cfg.kernel, **params)
     except KernelError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from .kernels import Kernel, as_point, as_points, kernel_matrix, kernel_vector
 
@@ -53,16 +53,6 @@ class TrainingSet:
         return self.inputs.shape[0]
 
 
-@dataclass(frozen=True)
-class PosteriorQuery:
-    """One resolved query: the test point, its variance, and (when outputs
-    were supplied) its mean."""
-
-    x: np.ndarray
-    variance: float
-    mean: float | None = None
-
-
 class GPPosterior:
     """Factored posterior for one (training set, kernel) pair."""
 
@@ -85,14 +75,15 @@ class GPPosterior:
             self._alpha = cho_solve(self._cho, train.outputs)
 
     def variance(self, x) -> float:
-        prior = self.kernel.prior_variance(x)
-        if self.train.n == 0:
-            return prior
-        k_x = kernel_vector(self.kernel, self.train.inputs, x)
-        return prior - float(k_x @ cho_solve(self._cho, k_x))
+        """Posterior variance at one point (a scalar or a length-d array)."""
+        return float(self.variance_batch(as_point(x).reshape(1, -1))[0])
 
     def variance_batch(self, X) -> np.ndarray:
-        """Posterior variance at each row of X, reusing the factorization."""
+        """Posterior variance at each row of X, reusing the factorization.
+
+        With ``A = L L'`` and ``V = L^{-1} k(X_train, X)``, the quadratic form
+        ``k_x' A^{-1} k_x`` is the squared norm of each column of ``V``.
+        """
         Xp = as_points(X)
         if self.kernel.isotropic:
             priors = np.full(Xp.shape[0], float(self.kernel.signal_variance))
@@ -100,9 +91,9 @@ class GPPosterior:
             priors = np.array([self.kernel.prior_variance(row) for row in Xp])
         if self.train.n == 0:
             return priors
-        K_x = kernel_matrix(self.kernel, self.train.inputs, Xp)
-        sol = cho_solve(self._cho, K_x)
-        return priors - np.einsum("ij,ij->j", K_x, sol)
+        V = solve_triangular(self._cho[0], kernel_matrix(self.kernel, self.train.inputs, Xp),
+                             lower=True)
+        return priors - np.einsum("ij,ij->j", V, V)
 
     def mean(self, x) -> float:
         if self.train.n == 0:
@@ -111,15 +102,6 @@ class GPPosterior:
             raise ValueError("posterior mean needs training outputs")
         k_x = kernel_vector(self.kernel, self.train.inputs, x)
         return float(k_x @ self._alpha)
-
-    def query(self, x) -> PosteriorQuery:
-        xp = as_point(x)
-        mean = None
-        if self.train.n == 0:
-            mean = 0.0
-        elif self._alpha is not None:
-            mean = self.mean(xp)
-        return PosteriorQuery(xp, self.variance(xp), mean)
 
 
 def posterior_variance(train: TrainingSet, kernel: Kernel, x) -> float:

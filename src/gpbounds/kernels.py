@@ -2,10 +2,11 @@
 
 Six kernel families share one frozen ``Kernel`` record: four isotropic
 (stationary) kinds evaluated through ``k.iso(tau)`` and two inner-product
-kinds (cubic polynomial and arcsine neural-network).  Every kernel carries
-the metadata the variance bounds need: whether it is isotropic, whether
-``k(tau)`` is non-increasing, and a per-argument Lipschitz constant
-estimate over a box domain.
+kinds (cubic polynomial and arcsine neural-network).  Its typed fields hold
+every parameter, and ``KERNEL_PARAMS`` names the fields each kind reads.
+What the variance bounds need to know, whether the kernel is isotropic and
+whether ``k(tau)`` is non-increasing, follows from the kind alone;
+``lipschitz_constant`` gives a per-argument Lipschitz constant over a box.
 
 Functional forms (``s2`` is the signal variance, ``l`` the lengthscale):
 
@@ -21,8 +22,7 @@ Functional forms (``s2`` is the signal variance, ``l`` the lengthscale):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -64,43 +64,58 @@ def as_points(x) -> np.ndarray:
     return a
 
 
+# kind -> the Kernel fields its formula reads; every other field must keep
+# its default, so a parameter the kind ignores is rejected, not dropped
+KERNEL_PARAMS = {
+    SQUARED_EXPONENTIAL: ("lengthscale", "signal_variance"),
+    MATERN_HALF: ("lengthscale", "signal_variance"),
+    RATIONAL_QUADRATIC: ("lengthscale", "signal_variance", "alpha"),
+    PERIODIC: ("lengthscale", "signal_variance", "period"),
+    POLYNOMIAL: ("signal_variance", "offset", "degree"),
+    NEURAL_NETWORK: ("signal_variance", "bias_variance", "weight_variance"),
+}
+
+
 @dataclass(frozen=True)
 class Kernel:
-    """One catalog entry.  Use the factory functions rather than the raw ctor."""
+    """One catalog entry: ``Kernel(kind, **params)`` or a factory function.
+
+    Each parameter must be positive and finite, and ``degree`` an integer.
+    """
 
     kind: str
     lengthscale: float = 1.0
     signal_variance: float = 1.0
-    extra: Mapping[str, float] = field(default_factory=dict)
-    isotropic: bool = True
-    decreasing: bool = True
+    alpha: float = 1.0
+    period: float = 1.0
+    offset: float = 1.0
+    degree: int = 3
+    bias_variance: float = 1.0
+    weight_variance: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ALL_KINDS:
-            raise KernelError(f"unknown kernel kind {self.kind!r}")
-        if not (self.signal_variance > 0 and math.isfinite(self.signal_variance)):
-            raise KernelError("signal_variance must be positive and finite")
-        if self.kind in ISOTROPIC_KINDS:
-            if not (self.lengthscale > 0 and math.isfinite(self.lengthscale)):
-                raise KernelError("lengthscale must be positive and finite")
-            if not self.isotropic:
-                raise KernelError(f"{self.kind} is isotropic by construction")
-        else:
-            if self.isotropic or self.decreasing:
-                raise KernelError(f"{self.kind} is not isotropic")
-        if self.kind == RATIONAL_QUADRATIC and self.extra.get("alpha", 1.0) <= 0:
-            raise KernelError("rational-quadratic alpha must be positive")
-        if self.kind == PERIODIC and self.extra.get("period", 1.0) <= 0:
-            raise KernelError("period must be positive")
-        if self.kind == POLYNOMIAL:
-            if self.extra.get("offset", 1.0) <= 0:
-                raise KernelError("polynomial offset must be positive")
-            degree = self.extra.get("degree", 3)
-            if degree != int(degree) or degree < 1:
-                raise KernelError("polynomial degree must be a positive integer")
-        if self.kind == NEURAL_NETWORK:
-            if self.extra.get("bias_variance", 1.0) <= 0 or self.extra.get("weight_variance", 1.0) <= 0:
-                raise KernelError("neural-network variances must be positive")
+        if self.kind not in KERNEL_PARAMS:
+            raise KernelError(f"unknown kernel kind {self.kind!r}; choose from {ALL_KINDS}")
+        used = KERNEL_PARAMS[self.kind]
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name not in used:
+                if value != f.default:
+                    raise KernelError(f"{self.kind} takes no parameter {f.name!r}")
+            elif not (value > 0 and math.isfinite(value)):
+                raise KernelError(f"{self.kind} {f.name} must be positive and finite")
+        if self.degree != int(self.degree):
+            raise KernelError("polynomial degree must be a positive integer")
+        object.__setattr__(self, "degree", int(self.degree))
+
+    @property
+    def isotropic(self) -> bool:
+        return self.kind in ISOTROPIC_KINDS
+
+    @property
+    def decreasing(self) -> bool:
+        """Whether k(tau) is non-increasing; periodic oscillates, so it is not."""
+        return self.isotropic and self.kind != PERIODIC
 
     def iso(self, tau):
         """Evaluate k(tau) for an isotropic kernel; tau >= 0, scalar or array."""
@@ -115,11 +130,10 @@ class Kernel:
         elif self.kind == MATERN_HALF:
             out = s2 * np.exp(-t / l)
         elif self.kind == RATIONAL_QUADRATIC:
-            a = self.extra.get("alpha", 1.0)
+            a = self.alpha
             out = s2 * (1.0 + t * t / (2.0 * a * l * l)) ** (-a)
         else:
-            p = self.extra.get("period", 1.0)
-            out = s2 * np.exp(-2.0 * np.sin(np.pi * t / p) ** 2 / (l * l))
+            out = s2 * np.exp(-2.0 * np.sin(np.pi * t / self.period) ** 2 / (l * l))
         return float(out) if out.ndim == 0 else out
 
     def __call__(self, x, z) -> float:
@@ -139,8 +153,7 @@ class Kernel:
 
 
 def _nn_gram(kernel: Kernel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    sb = kernel.extra.get("bias_variance", 1.0)
-    sw = kernel.extra.get("weight_variance", 1.0)
+    sb, sw = kernel.bias_variance, kernel.weight_variance
     s_xz = sb + sw * (X @ Z.T)
     s_xx = sb + sw * np.sum(X * X, axis=1)
     s_zz = sb + sw * np.sum(Z * Z, axis=1)
@@ -159,9 +172,7 @@ def kernel_matrix(kernel: Kernel, X, Z=None) -> np.ndarray:
     if kernel.isotropic:
         return kernel.iso(cdist(Xp, Zp))
     if kernel.kind == POLYNOMIAL:
-        c = kernel.extra.get("offset", 1.0)
-        d = int(kernel.extra.get("degree", 3))
-        return kernel.signal_variance * (Xp @ Zp.T + c) ** d
+        return kernel.signal_variance * (Xp @ Zp.T + kernel.offset) ** kernel.degree
     return _nn_gram(kernel, Xp, Zp)
 
 
@@ -181,47 +192,32 @@ def matern_half(lengthscale: float = 1.0, signal_variance: float = 1.0) -> Kerne
 
 def rational_quadratic(lengthscale: float = 1.0, signal_variance: float = 1.0,
                        alpha: float = 1.0) -> Kernel:
-    return Kernel(RATIONAL_QUADRATIC, lengthscale, signal_variance, {"alpha": alpha})
+    return Kernel(RATIONAL_QUADRATIC, lengthscale, signal_variance, alpha=alpha)
 
 
 def periodic(lengthscale: float = 1.0, signal_variance: float = 1.0,
              period: float = 1.0) -> Kernel:
-    # oscillates, so it is not monotone in tau
-    return Kernel(PERIODIC, lengthscale, signal_variance, {"period": period},
-                  decreasing=False)
+    return Kernel(PERIODIC, lengthscale, signal_variance, period=period)
 
 
 def polynomial(offset: float = 1.0, degree: int = 3, signal_variance: float = 1.0) -> Kernel:
-    return Kernel(POLYNOMIAL, 1.0, signal_variance,
-                  {"offset": offset, "degree": int(degree)},
-                  isotropic=False, decreasing=False)
+    return Kernel(POLYNOMIAL, signal_variance=signal_variance, offset=offset, degree=degree)
 
 
 def neural_network(bias_variance: float = 1.0, weight_variance: float = 1.0,
                    signal_variance: float = 1.0) -> Kernel:
-    return Kernel(NEURAL_NETWORK, 1.0, signal_variance,
-                  {"bias_variance": bias_variance, "weight_variance": weight_variance},
-                  isotropic=False, decreasing=False)
-
-
-_FACTORIES = {
-    SQUARED_EXPONENTIAL: squared_exponential,
-    MATERN_HALF: matern_half,
-    RATIONAL_QUADRATIC: rational_quadratic,
-    PERIODIC: periodic,
-    POLYNOMIAL: polynomial,
-    NEURAL_NETWORK: neural_network,
-}
+    return Kernel(NEURAL_NETWORK, signal_variance=signal_variance,
+                  bias_variance=bias_variance, weight_variance=weight_variance)
 
 
 def make_kernel(kind: str, **params) -> Kernel:
     """Build a kernel by kind name; unknown kinds or parameters raise KernelError."""
-    if kind not in _FACTORIES:
+    if kind not in KERNEL_PARAMS:
         raise KernelError(f"unknown kernel kind {kind!r}; choose from {ALL_KINDS}")
-    try:
-        return _FACTORIES[kind](**params)
-    except TypeError as exc:
-        raise KernelError(f"bad parameters for {kind}: {exc}") from None
+    unused = sorted(set(params) - set(KERNEL_PARAMS[kind]))
+    if unused:
+        raise KernelError(f"{kind} takes no parameters {unused}")
+    return Kernel(kind, **params)
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,8 @@ def test_parse_rejects_unknown_and_duplicate_keys():
 def test_parse_type_errors_name_the_key():
     with pytest.raises(ConfigError, match="n_max"):
         parse_config_text(GOOD_VARIANCE.replace("n_max = 20", "n_max = many"))
+    with pytest.raises(ConfigError, match="degree"):
+        parse_config_text(GOOD_VARIANCE + "degree = 2.5\n")
     with pytest.raises(ConfigError, match="subtract_noise"):
         parse_config_text("experiment = learning-curve\n"
                           "kernel = squared-exponential\n"
@@ -66,6 +68,11 @@ def test_parse_bool_spellings():
                                 "kernel = squared-exponential\n"
                                 f"subtract_noise = {raw}\n")
         assert cfg.subtract_noise is want
+
+
+def test_parse_optional_float():
+    cfg = parse_config_text(GOOD_VARIANCE + "schedule_alpha = 0.25\n")
+    assert type(cfg.schedule_alpha) is float and cfg.schedule_alpha == 0.25
 
 
 def test_load_config_missing_file():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from gpbounds.bounds import bound_report
+from gpbounds.gp import TrainingSet
 from gpbounds.kernels import (ALL_KINDS, ISOTROPIC_KINDS, Kernel, KernelError,
                               as_points, kernel_matrix, kernel_vector,
                               lipschitz_constant, make_kernel, matern_half,
@@ -95,6 +97,13 @@ def test_constructor_validation():
         make_kernel("triangle")
     with pytest.raises(KernelError):
         make_kernel("periodic", alpha=2.0)
+    with pytest.raises(KernelError):
+        make_kernel("periodic", perod=2.0)
+    with pytest.raises(KernelError):
+        Kernel("squared-exponential", alpha=2.0)
+    with pytest.raises(KernelError):
+        polynomial(degree=2.5)
+    assert Kernel("polynomial") == polynomial()
 
 
 def test_as_points_shapes():
@@ -156,6 +165,13 @@ def test_decreasing_flag_honesty():
         vals = k.iso(taus)
         assert np.all(np.diff(vals) <= 1e-15)
     assert not periodic().decreasing
+    direct = Kernel("periodic", 0.3)
+    assert direct.decreasing is False
+    # both samples sit half a period from x, so the exact variance is ~1;
+    # the isotropic formula at radius 0.95 would claim about 0.68
+    rep = bound_report(TrainingSet([0.5, 1.5], 0.1), direct, 1.0, 0.95, 1.0)
+    assert rep.exact > 0.99
+    assert rep.isotropic is None
 
 
 # ------------------------------------------------------- Lipschitz constants
