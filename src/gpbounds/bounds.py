@@ -6,7 +6,7 @@ nearest one or two samples.  ``k`` below is the prior variance k(x, x),
 ``L`` a per-argument Lipschitz constant of the kernel, ``B`` the ball
 count, ``s`` the noise variance.
 
-* general (Lipschitz) bound, default "proof" form:
+* general (Lipschitz) bound, as proved:
       (k s + B (4 k L rho - L^2 rho^2)) / (B (k + 2 L rho) + s)
 * isotropic decreasing bound:
       k(0) - k(rho)^2 / (k(0) + s / B)
@@ -49,17 +49,14 @@ def ball_count(train: TrainingSet, x, radius: float) -> BallCount:
 
 
 def lipschitz_bound(kernel: Kernel, lipschitz: float, x, ballcount: int,
-                    radius: float, noise_variance: float,
-                    form: str = "proof") -> float:
+                    radius: float, noise_variance: float) -> float:
     """General variance bound from a ball count and a Lipschitz constant.
 
-    ``form="proof"`` (default) uses the numerator k s + B (4 k L rho -
-    L^2 rho^2); ``form="printed"`` multiplies the whole rho-polynomial by
-    k instead.  The two agree when k(x, x) = 1.  Requires
-    ``rho * L <= k(x, x)``; violations raise rather than clip.
+    The numerator is k s + B (4 k L rho - L^2 rho^2), as proved.  The
+    printed formula multiplies the whole rho-polynomial by k instead; it
+    agrees only when k(x, x) = 1 and is otherwise not a bound.  Requires
+    ``rho <= k(x, x) / L``; violations raise rather than clip.
     """
-    if form not in ("proof", "printed"):
-        raise BoundError(f"unknown form {form!r}")
     if ballcount < 0 or int(ballcount) != ballcount:
         raise BoundError("ballcount must be a non-negative integer")
     if radius < 0 or lipschitz < 0:
@@ -67,16 +64,14 @@ def lipschitz_bound(kernel: Kernel, lipschitz: float, x, ballcount: int,
     if not noise_variance > 0:
         raise BoundError("noise_variance must be positive")
     k = kernel.prior_variance(x)
-    if radius * lipschitz > k:
+    # the same expression radius_at clips with, so a clipped radius passes
+    if lipschitz > 0 and radius > k / lipschitz:
         raise BoundError(
             f"radius {radius} exceeds k(x,x)/L = {k / lipschitz}; "
             "shrink the radius (radius_at clips schedules for you)")
     b = float(ballcount)
     L, rho, s = lipschitz, radius, noise_variance
-    if form == "proof":
-        num = k * s + b * (4.0 * k * L * rho - L * L * rho * rho)
-    else:
-        num = k * s + b * k * (4.0 * L * rho - L * L * rho * rho)
+    num = k * s + b * (4.0 * k * L * rho - L * L * rho * rho)
     return num / (b * (k + 2.0 * L * rho) + s)
 
 
@@ -178,7 +173,7 @@ class BoundReport:
 
 
 def bound_report(train: TrainingSet, kernel: Kernel, x, radius: float,
-                 lipschitz: float, form: str = "proof") -> BoundReport:
+                 lipschitz: float) -> BoundReport:
     """Evaluate the exact variance and all applicable bounds at once.
 
     The isotropic bound falls back to the prior variance k(0) when the ball
@@ -188,7 +183,7 @@ def bound_report(train: TrainingSet, kernel: Kernel, x, radius: float,
     exact = GPPosterior(train, kernel).variance(xp)
     count = ball_count(train, xp, radius).count
     general = lipschitz_bound(kernel, lipschitz, xp, count, radius,
-                              train.noise_variance, form=form)
+                              train.noise_variance)
     iso = one_pt = two_pt = None
     if kernel.isotropic and kernel.decreasing:
         if count >= 1:

@@ -154,12 +154,9 @@ class ConvergenceVerdict:
     reason: str = ""
 
 
-def _radius_fn(schedule):
-    if isinstance(schedule, RadiusSchedule):
-        return schedule.raw
-    if callable(schedule):
-        return schedule
-    raise DensityError("schedule must be a RadiusSchedule or a callable N -> rho")
+def _require_schedule(schedule) -> None:
+    if not isinstance(schedule, RadiusSchedule):
+        raise DensityError("schedule must be a RadiusSchedule")
 
 
 def _small_ball_power_law(density: Density, x: float):
@@ -180,16 +177,18 @@ def _small_ball_power_law(density: Density, x: float):
     return None, None
 
 
-def check_theorem32(density: Density, x: float, schedule, c: float,
-                    epsilon: float, n_range: tuple[int, int]) -> ConvergenceVerdict:
+def check_theorem32(density: Density, x: float, schedule: RadiusSchedule,
+                    c: float, epsilon: float,
+                    n_range: tuple[int, int]) -> ConvergenceVerdict:
     """Check the ball-mass convergence condition over a probe range.
 
-    Verifies that the radius is non-increasing and trends to zero, and that
-    ``p_ball(N) >= c * N^(eps - 1)`` at every probed N.  For the built-in
-    densities with a power-law schedule the small-radius exponent comparison
-    extends the verdict beyond the probe range, including the closed-form
-    first crossing when it fails out there.
+    A ``RadiusSchedule`` decreases strictly to zero by construction, so what
+    remains is ``p_ball(N) >= c * N^(eps - 1)`` at every probed N.  For the
+    built-in densities the small-radius exponent comparison extends the
+    verdict beyond the probe range, including the closed-form first crossing
+    when it fails out there.
     """
+    _require_schedule(schedule)
     if not c > 0:
         raise DensityError("witness constant c must be positive")
     if not 0.0 < epsilon < 1.0:
@@ -198,28 +197,8 @@ def check_theorem32(density: Density, x: float, schedule, c: float,
     if lo_n < 1 or hi_n < lo_n:
         raise DensityError("n_range must satisfy 1 <= lo <= hi")
 
-    fn = _radius_fn(schedule)
     ns = np.arange(lo_n, hi_n + 1)
-    if isinstance(schedule, RadiusSchedule):
-        rhos = schedule.raw(ns)
-    else:
-        rhos = np.array([float(fn(int(n))) for n in ns])
-    if np.any(rhos < 0):
-        raise DensityError("schedule produced a negative radius")
-
-    increases = np.diff(rhos) > 1e-12 * max(rhos[0], 1e-300)
-    if np.any(increases):
-        n_bad = int(ns[1:][increases][0])
-        return ConvergenceVerdict(False, first_failing_n=n_bad,
-                                  reason="radius increases at N=%d" % n_bad)
-    if isinstance(schedule, RadiusSchedule):
-        trends_to_zero = True            # exponent in (0, 1] by construction
-    else:
-        trends_to_zero = rhos[-1] < rhos[0]
-    if not trends_to_zero:
-        return ConvergenceVerdict(False, reason="radius does not trend to zero "
-                                                "over the probed range")
-
+    rhos = schedule.raw(ns)
     targets = c * ns.astype(float) ** (epsilon - 1.0)
     masses = _ball_mass(density, float(x), rhos)
     # exact equality p = c N^(eps-1) satisfies the condition; the interval
@@ -231,23 +210,22 @@ def check_theorem32(density: Density, x: float, schedule, c: float,
                                   reason="ball mass %.3g < required %.3g at N=%d"
                                          % (masses[failing][0], targets[failing][0], n_bad))
 
-    if isinstance(schedule, RadiusSchedule):
-        a, beta = _small_ball_power_law(density, float(x))
-        if beta is not None:
-            lead = a * schedule.coefficient ** beta
-            decay = schedule.exponent * beta
-            if decay > 1.0 - epsilon or (decay == 1.0 - epsilon and lead < c):
-                if decay > 1.0 - epsilon and lead > 0:
-                    cross = (lead / c) ** (1.0 / (decay - (1.0 - epsilon)))
-                    n_bad = max(hi_n + 1, int(math.floor(cross)) + 1)
-                else:
-                    n_bad = hi_n + 1
-                return ConvergenceVerdict(False, first_failing_n=n_bad,
-                                          reason="ball mass decays like N^-%.3g, "
-                                                 "too fast for epsilon=%.3g" % (decay, epsilon))
-        elif a == 0.0:
-            return ConvergenceVerdict(False, first_failing_n=hi_n + 1,
-                                      reason="test point lies outside the support")
+    a, beta = _small_ball_power_law(density, float(x))
+    if beta is not None:
+        lead = a * schedule.coefficient ** beta
+        decay = schedule.exponent * beta
+        if decay > 1.0 - epsilon or (decay == 1.0 - epsilon and lead < c):
+            if decay > 1.0 - epsilon and lead > 0:
+                cross = (lead / c) ** (1.0 / (decay - (1.0 - epsilon)))
+                n_bad = max(hi_n + 1, int(math.floor(cross)) + 1)
+            else:
+                n_bad = hi_n + 1
+            return ConvergenceVerdict(False, first_failing_n=n_bad,
+                                      reason="ball mass decays like N^-%.3g, "
+                                             "too fast for epsilon=%.3g" % (decay, epsilon))
+    elif a == 0.0:
+        return ConvergenceVerdict(False, first_failing_n=hi_n + 1,
+                                  reason="test point lies outside the support")
     return ConvergenceVerdict(True, c=c, epsilon=epsilon)
 
 
@@ -260,8 +238,7 @@ def check_corollary33(dimension: int, schedule: RadiusSchedule) -> ConvergenceVe
     """
     if dimension < 1 or int(dimension) != dimension:
         raise DensityError("dimension must be a positive integer")
-    if not isinstance(schedule, RadiusSchedule):
-        raise DensityError("check_corollary33 needs a power-law RadiusSchedule")
+    _require_schedule(schedule)
     gap = 1.0 / dimension - schedule.exponent
     if gap > 0:
         return ConvergenceVerdict(True, c=schedule.coefficient, epsilon=gap)
@@ -331,16 +308,16 @@ class GrowthRow:
     expected_count: float
 
 
-def empirical_ball_growth(density: Density, x: float, schedule, n_list,
-                          trials: int, seed: int) -> list[GrowthRow]:
+def empirical_ball_growth(density: Density, x: float, schedule: RadiusSchedule,
+                          n_list, trials: int, seed: int) -> list[GrowthRow]:
     """Sampled ball occupancy along a schedule, against its expectation.
 
     Each (N, trial) pair draws from its own derived seed, so rows are
     reproducible independently of iteration order.
     """
+    _require_schedule(schedule)
     if trials < 1:
         raise DensityError("trials must be positive")
-    fn = _radius_fn(schedule)
     rows = []
     for n in n_list:
         n = int(n)
@@ -349,7 +326,7 @@ def empirical_ball_growth(density: Density, x: float, schedule, n_list,
         if n == 0:
             rows.append(GrowthRow(0, 0.0, 0, 0.0))
             continue
-        rho = float(fn(n))
+        rho = schedule.raw(n)
         expected = n * ball_probability(density, x, rho)
         counts = np.empty(trials, dtype=int)
         for t in range(trials):

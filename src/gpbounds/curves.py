@@ -351,8 +351,7 @@ _CURVE_TAG = 3
 
 def monte_carlo_curve(kernel: Kernel, noise_variance: float, n_list,
                       test_points: int, datasets: int, seed: int,
-                      quad_tol: float = 1e-9,
-                      include_bounds: bool = True) -> LearningCurveTable:
+                      quad_tol: float = 1e-9) -> LearningCurveTable:
     """Reference curve e(N) by Monte Carlo, with the three bounds per row.
 
     For each N and dataset index a derived seed draws N uniform training
@@ -385,12 +384,9 @@ def monte_carlo_curve(kernel: Kernel, noise_variance: float, n_list,
             dataset_means[i] = float(np.mean(post.variance_batch(xs)))
         e_num = float(np.mean(dataset_means)) + noise_variance
         se = float(np.std(dataset_means, ddof=1) / math.sqrt(datasets))
-        if include_bounds:
-            e1 = e1_bound(kernel, noise_variance, n, quad_tol)
-            e2 = e2_bound(kernel, noise_variance, n, quad_tol)
-            warm, e_rho = _greedy(kernel, noise_variance, n, warm, quad_tol)
-            rows.append(CurveRow(n, e_num, se, e1, e2, e_rho, warm))
-        else:
-            rows.append(CurveRow(n, e_num, se, math.nan, math.nan, math.nan, 0))
+        e1 = e1_bound(kernel, noise_variance, n, quad_tol)
+        e2 = e2_bound(kernel, noise_variance, n, quad_tol)
+        warm, e_rho = _greedy(kernel, noise_variance, n, warm, quad_tol)
+        rows.append(CurveRow(n, e_num, se, e1, e2, e_rho, warm))
     return LearningCurveTable(tuple(rows), kernel, noise_variance, seed,
                               test_points, datasets)

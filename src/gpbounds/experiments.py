@@ -79,7 +79,6 @@ class ExperimentConfig:
     seed: int = 1
     subtract_noise: bool = False
     quad_tol: float = 1e-9
-    bound_form: str = "proof"
 
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
@@ -173,8 +172,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("config key 'points_per_decade': must be >= 1")
     if cfg.schedule_alpha is not None and not 0.0 < cfg.schedule_alpha <= 1.0:
         raise ConfigError("config key 'schedule_alpha': must lie in (0, 1]")
-    if cfg.bound_form not in ("proof", "printed"):
-        raise ConfigError("config key 'bound_form': must be 'proof' or 'printed'")
     if not cfg.domain_lo < cfg.domain_hi:
         raise ConfigError("config keys 'domain_lo'/'domain_hi': need lo < hi")
 
@@ -270,8 +267,7 @@ def run_variance_experiment(cfg: ExperimentConfig, out_path) -> list[tuple]:
         for i in range(cfg.datasets):
             rng = np.random.default_rng([cfg.seed, tag, n, i])
             train = TrainingSet(density.sample(n, rng), cfg.noise_variance)
-            rep = bound_report(train, kernel, x, rho, lipexpand.value,
-                               form=cfg.bound_form)
+            rep = bound_report(train, kernel, x, rho, lipexpand.value)
             acc_exact += rep.exact
             acc_gen += rep.lipschitz
             if has_iso:

@@ -242,32 +242,32 @@ GRID_POINTS = 10_000
 SAFETY_FACTOR = 1.05
 
 
-def lipschitz_constant(kernel: Kernel, domain, method: str = "auto") -> LipschitzEstimate:
+def lipschitz_constant(kernel: Kernel, domain) -> LipschitzEstimate:
     """Upper bound on |k(x, z) - k(x', z)| / ||x - x'|| over a box domain.
 
     Closed forms exist for the squared-exponential (s2 * e^(-1/2) / l, the
     maximum of tau * exp(-tau^2/2)) and the Matern-1/2 (s2 / l, the one-sided
-    slope at tau -> 0+).  Every other kind is estimated as the largest
-    absolute difference quotient on a 10^4-point grid, inflated by a 1.05
-    safety factor.  A single-point domain admits any constant, so 0 is
-    returned and quoted as analytic.
+    slope at tau -> 0+).  Every other kind is estimated on a grid (see
+    ``_grid_lipschitz``) and quoted with method "grid-estimate".  A
+    single-point domain admits any constant, so 0 is returned and quoted as
+    analytic.
     """
-    if method not in ("auto", "analytic", "grid-estimate"):
-        raise KernelError(f"unknown method {method!r}")
     box = _as_box(domain)
     diam = float(np.linalg.norm(box[:, 1] - box[:, 0]))
     if diam == 0.0:
         return LipschitzEstimate(0.0, "analytic", 1.0)
-
     s2, l = kernel.signal_variance, kernel.lengthscale
-    if method != "grid-estimate":
-        if kernel.kind == SQUARED_EXPONENTIAL:
-            return LipschitzEstimate(s2 * math.exp(-0.5) / l, "analytic", 1.0)
-        if kernel.kind == MATERN_HALF:
-            return LipschitzEstimate(s2 / l, "analytic", 1.0)
-        if method == "analytic":
-            raise KernelError(f"no closed-form Lipschitz constant for {kernel.kind}")
+    if kernel.kind == SQUARED_EXPONENTIAL:
+        return LipschitzEstimate(s2 * math.exp(-0.5) / l, "analytic", 1.0)
+    if kernel.kind == MATERN_HALF:
+        return LipschitzEstimate(s2 / l, "analytic", 1.0)
+    return _grid_lipschitz(kernel, box, diam)
 
+
+def _grid_lipschitz(kernel: Kernel, box: np.ndarray, diam: float) -> LipschitzEstimate:
+    """Largest absolute difference quotient on a 10^4-point grid, inflated
+    by a 1.05 safety factor: k(tau) over [0, diam] for isotropic kinds,
+    k(x, z) over a 10^4 x 201 grid of the (one-dimensional) box otherwise."""
     if kernel.isotropic:
         taus = np.linspace(0.0, diam, GRID_POINTS)
         vals = kernel.iso(taus)

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpbounds.bounds import (BoundError, RadiusSchedule, ball_count,
                              bound_report, isotropic_bound, lipschitz_bound,
                              one_point_bound, radius_at, two_point_bound)
 from gpbounds.gp import TrainingSet, posterior_variance
-from gpbounds.kernels import (lipschitz_constant, make_kernel, matern_half,
-                              neural_network, periodic, polynomial,
-                              rational_quadratic, squared_exponential)
+from gpbounds.kernels import (ALL_KINDS, KERNEL_PARAMS, lipschitz_constant,
+                              make_kernel, matern_half, neural_network,
+                              periodic, polynomial, rational_quadratic,
+                              squared_exponential)
 
 DOMAIN = (0.5, 1.5)
 ISO_DECREASING = (squared_exponential, matern_half, rational_quadratic)
@@ -59,22 +61,6 @@ def test_lipschitz_bound_precondition_is_an_error():
     k = squared_exponential()
     with pytest.raises(BoundError):
         lipschitz_bound(k, 2.0, 1.0, 3, 0.6, 0.1)  # rho * L = 1.2 > 1
-
-
-def test_lipschitz_bound_forms_agree_at_unit_prior():
-    k = squared_exponential()  # k(x,x) = 1 makes the forms identical
-    a = lipschitz_bound(k, 0.5, 1.0, 4, 0.3, 0.1, form="proof")
-    b = lipschitz_bound(k, 0.5, 1.0, 4, 0.3, 0.1, form="printed")
-    assert math.isclose(a, b, rel_tol=1e-15)
-
-
-def test_lipschitz_bound_forms_differ_otherwise():
-    k = squared_exponential(signal_variance=2.0)
-    a = lipschitz_bound(k, 0.5, 1.0, 4, 0.3, 0.1, form="proof")
-    b = lipschitz_bound(k, 0.5, 1.0, 4, 0.3, 0.1, form="printed")
-    assert a != b
-    with pytest.raises(BoundError):
-        lipschitz_bound(k, 0.5, 1.0, 4, 0.3, 0.1, form="other")
 
 
 def test_lipschitz_bound_monotone_in_ballcount():
@@ -212,6 +198,19 @@ def test_radius_at_clips_to_prior_over_lipschitz():
     assert radius_at(RadiusSchedule(100.0, 0.5), 1, k, 1.0, 0.0) == 100.0
 
 
+def test_clipped_radius_passes_the_precondition():
+    # (k/L)*L rounds above k for this pair; the guard must test the same
+    # k/L that radius_at clips to
+    k = matern_half(0.2, 1.98)
+    L = lipschitz_constant(k, DOMAIN).value
+    rho = radius_at(RadiusSchedule(10.0, 0.5), 1, k, 1.0, L)
+    assert rho == k.prior_variance(1.0) / L
+    val = lipschitz_bound(k, L, 1.0, 1, rho, 0.1)
+    assert math.isfinite(val) and val > 0
+    with pytest.raises(BoundError):
+        lipschitz_bound(k, L, 1.0, 1, math.nextafter(rho, math.inf), 0.1)
+
+
 def test_radius_schedule_non_increasing():
     sched = RadiusSchedule(2.0, 0.25)
     vals = sched.raw(np.arange(1, 500))
@@ -271,3 +270,35 @@ def test_bound_report_validity_sweep():
         for val in (rep.lipschitz, rep.isotropic, rep.one_point, rep.two_point):
             if val is not None:
                 assert val >= floor
+
+
+@st.composite
+def random_kernels(draw):
+    """A kernel of any kind, with every parameter its kind reads drawn."""
+    kind = draw(st.sampled_from(ALL_KINDS))
+    params = {"signal_variance": draw(st.floats(0.25, 4.0))}
+    for name in KERNEL_PARAMS[kind]:
+        if name == "degree":
+            params[name] = draw(st.integers(1, 4))
+        elif name != "signal_variance":
+            params[name] = draw(st.floats(0.3, 2.0))
+    return make_kernel(kind, **params)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel=random_kernels(),
+       inputs=st.lists(st.floats(0.5, 1.5), min_size=1, max_size=60),
+       noise=st.floats(0.01, 0.5), x=st.floats(0.5, 1.5),
+       coefficient=st.floats(0.01, 10.0), exponent=st.floats(0.05, 1.0))
+def test_bound_report_fields_dominate_exact_variance(kernel, inputs, noise, x,
+                                                     coefficient, exponent):
+    """Every bound is an upper bound at the radius the runners use, which
+    radius_at clips to k(x,x)/L when the schedule asks for more."""
+    train = TrainingSet(inputs, noise)
+    L = lipschitz_constant(kernel, DOMAIN).value
+    rho = radius_at(RadiusSchedule(coefficient, exponent), train.n, kernel, x, L)
+    rep = bound_report(train, kernel, x, rho, L)
+    floor = rep.exact - 1e-10 * max(1.0, rep.exact)
+    for val in (rep.lipschitz, rep.isotropic, rep.one_point, rep.two_point):
+        if val is not None:
+            assert val >= floor

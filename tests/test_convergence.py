@@ -127,20 +127,6 @@ def test_rejection_beyond_the_probe_range_is_predicted():
     assert v.first_failing_n == 17
 
 
-def test_constant_schedule_fails_the_trend_check():
-    v = check_theorem32(uniform(0.5, 1.5), 1.0, lambda n: 0.25, 0.5, 0.5,
-                        (1, 200))
-    assert not v.satisfied
-    assert "trend" in v.reason
-
-
-def test_increasing_schedule_fails_immediately():
-    v = check_theorem32(uniform(0.5, 1.5), 1.0, lambda n: 0.1 * n, 0.5, 0.5,
-                        (1, 50))
-    assert not v.satisfied
-    assert v.first_failing_n == 2
-
-
 def test_checker_input_validation():
     d = uniform(0.0, 1.0)
     s = RadiusSchedule(1.0, 0.5)
@@ -152,6 +138,11 @@ def test_checker_input_validation():
         check_theorem32(d, 0.5, s, 1.0, 0.5, (0, 10))
     with pytest.raises(DensityError):
         check_theorem32(d, 0.5, "soon", 1.0, 0.5, (1, 10))
+    # only a RadiusSchedule is accepted: it decreases strictly to zero
+    with pytest.raises(DensityError, match="RadiusSchedule"):
+        check_theorem32(d, 0.5, lambda n: 0.25, 1.0, 0.5, (1, 10))
+    with pytest.raises(DensityError, match="RadiusSchedule"):
+        empirical_ball_growth(d, 0.5, lambda n: 0.25, [10], 5, seed=1)
 
 
 def test_dimension_exponent_rule():
@@ -239,8 +230,8 @@ def test_binomial_bound_guards():
 # ------------------------------------------------------------- ball growth
 
 def test_growth_mean_tracks_binomial_expectation():
-    # fixed rho = 0.5 on U(0, 2): p = 0.5, so counts ~ Binomial(1000, 0.5)
-    rows = empirical_ball_growth(uniform(0.0, 2.0), 1.0, lambda n: 0.5,
+    # rho = 500 / 1000 = 0.5 on U(0, 2): p = 0.5, so counts ~ Binomial(1000, 0.5)
+    rows = empirical_ball_growth(uniform(0.0, 2.0), 1.0, RadiusSchedule(500.0, 1.0),
                                  [1000], trials=50, seed=5)
     row = rows[0]
     assert row.expected_count == pytest.approx(500.0)

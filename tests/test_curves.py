@@ -9,7 +9,7 @@ from gpbounds.curves import (CurveError, QuadratureError, e1_bound, e2_bound,
                              e_rho_bound, greedy_select_n, i_n_integral,
                              monte_carlo_curve, segment_plan, spacing_density)
 from gpbounds.gp import TrainingSet, posterior_variance
-from gpbounds.kernels import matern_half, polynomial, squared_exponential
+from gpbounds.kernels import polynomial, squared_exponential
 
 SE = squared_exponential(lengthscale=0.3)
 NOISE = 0.05
@@ -258,13 +258,6 @@ def test_monte_carlo_matches_itself_across_runs():
     c = monte_carlo_curve(SE, NOISE, [3, 20], 15, 5, seed=9)
     assert a.rows == b.rows
     assert a.rows != c.rows
-
-
-def test_monte_carlo_without_bounds():
-    table = monte_carlo_curve(matern_half(), NOISE, [7], 10, 3, seed=1,
-                              include_bounds=False)
-    assert math.isnan(table.rows[0].e1)
-    assert table.rows[0].e_num > NOISE
 
 
 def test_monte_carlo_validation():

@@ -1,5 +1,8 @@
+import itertools
 import math
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -80,6 +83,17 @@ def test_load_config_missing_file():
         load_config("/nonexistent/path.cfg")
 
 
+def test_readme_key_table_names_every_config_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.split("Keys and defaults:", 1)[1].strip().splitlines()
+    rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines))
+    keys = []
+    for row in rows[2:]:                 # skip the header and the rule
+        cell = re.sub(r"\([^)]*\)", "", row.split("|")[2])  # drop "(default)" notes
+        keys += re.findall(r"`([^`]+)`", cell)
+    assert sorted(keys) == sorted(f.name for f in fields(ExperimentConfig))
+
+
 # --------------------------------------------------------------- validation
 
 def base(**kw):
@@ -101,8 +115,9 @@ def test_validation_rejects_bad_fields():
         base(domain_lo=2.0)
     with pytest.raises(ConfigError, match="test_point"):
         base(test_point=9.0)
-    with pytest.raises(ConfigError, match="bound_form"):
-        base(bound_form="either")
+    # only the proved general bound is offered, so bound_form is no key
+    with pytest.raises(ConfigError, match="line 10: unknown config key 'bound_form'"):
+        parse_config_text(GOOD_VARIANCE + "bound_form = printed\n")
 
 
 def test_validation_vanishing_needs_centered_test_point():
@@ -301,6 +316,21 @@ def test_cli_config_error_exit_code(tmp_path):
                                     "--out", str(tmp_path / "x.csv")])
     assert res.exit_code == 2
     assert "config error" in res.output
+
+
+def test_cli_clipped_radius_run_succeeds(tmp_path):
+    # at N = 1 the schedule radius 10 is clipped to k/L, and (k/L)*L rounds
+    # above k for this kernel; the run must still write its rows
+    cfg = tmp_path / "clip.cfg"
+    cfg.write_text("experiment = variance-uniform\n"
+                   "kernel = matern-1/2\n"
+                   "lengthscale = 0.2\nsignal_variance = 1.98\n"
+                   "schedule_c = 10\nn_max = 3\ndatasets = 2\n")
+    out = tmp_path / "clip.csv"
+    res = CliRunner().invoke(main, ["variance", "--config", str(cfg),
+                                    "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert len(out.read_text().splitlines()) == 4
 
 
 def test_cli_numeric_error_exit_code(tmp_path):

@@ -6,10 +6,11 @@ import pytest
 from gpbounds.bounds import bound_report
 from gpbounds.gp import TrainingSet
 from gpbounds.kernels import (ALL_KINDS, ISOTROPIC_KINDS, Kernel, KernelError,
-                              as_points, kernel_matrix, kernel_vector,
-                              lipschitz_constant, make_kernel, matern_half,
-                              neural_network, periodic, polynomial,
-                              rational_quadratic, squared_exponential)
+                              _grid_lipschitz, as_points, kernel_matrix,
+                              kernel_vector, lipschitz_constant, make_kernel,
+                              matern_half, neural_network, periodic,
+                              polynomial, rational_quadratic,
+                              squared_exponential)
 
 
 def all_kernels():
@@ -196,16 +197,10 @@ def test_lipschitz_degenerate_domain():
 
 def test_lipschitz_grid_vs_analytic_on_se():
     analytic = lipschitz_constant(squared_exponential(), (0.0, 3.0))
-    grid = lipschitz_constant(squared_exponential(), (0.0, 3.0),
-                              method="grid-estimate")
+    grid = _grid_lipschitz(squared_exponential(), np.array([[0.0, 3.0]]), 3.0)
     assert grid.method == "grid-estimate"
     assert grid.safety_factor == 1.05
     assert math.isclose(grid.value, 1.05 * analytic.value, rel_tol=2e-3)
-
-
-def test_lipschitz_analytic_unavailable_rejected():
-    with pytest.raises(KernelError):
-        lipschitz_constant(periodic(), (0.0, 1.0), method="analytic")
 
 
 def test_lipschitz_validity_sweep():
