@@ -17,8 +17,8 @@ from .bounds import (BallCount, BoundError, BoundReport, RadiusSchedule,
 from .convergence import (ConvergenceVerdict, Density, DensityError, GrowthRow,
                           ball_probability, bernoulli_central_moment,
                           binomial_moment_bound, check_corollary33,
-                          check_theorem32, empirical_ball_growth, tabulated,
-                          uniform, vanishing)
+                          check_theorem32, empirical_ball_growth, uniform,
+                          vanishing)
 from .curves import (CurveError, CurveRow, LearningCurveTable, QuadratureError,
                      SegmentPlan, e1_bound, e2_bound, e_rho_bound,
                      greedy_select_n, i_n_integral, monte_carlo_curve,
@@ -45,7 +45,7 @@ __all__ = [
     "ConvergenceVerdict", "Density", "DensityError", "GrowthRow",
     "ball_probability", "bernoulli_central_moment", "binomial_moment_bound",
     "check_corollary33", "check_theorem32", "empirical_ball_growth",
-    "tabulated", "uniform", "vanishing",
+    "uniform", "vanishing",
     "CurveError", "CurveRow", "LearningCurveTable", "QuadratureError",
     "SegmentPlan", "e1_bound", "e2_bound", "e_rho_bound", "greedy_select_n",
     "i_n_integral", "monte_carlo_curve", "segment_plan", "spacing_density",

@@ -101,7 +101,8 @@ def convergence(config_path, preset, seed, out_path, n_max) -> None:
             click.echo(f"witness epsilon = {verdict.epsilon}")
         else:
             click.echo("satisfied: no")
-            click.echo(f"first failing n = {verdict.first_failing_n}")
+            if verdict.first_failing_n is not None:
+                click.echo(f"first failing n = {verdict.first_failing_n}")
             click.echo(f"reason: {verdict.reason}")
         click.echo(f"wrote growth table to {out_path}")
     _run(action)

@@ -17,11 +17,9 @@ import numpy as np
 
 from .bounds import RadiusSchedule
 
-UNIFORM = "uniform-interval"
-VANISHING = "vanishing-at-point"
-TABULATED = "user-tabulated"
-
-_TABULATED_GRID = 4097
+UNIFORM = "uniform"
+VANISHING = "vanishing"
+DENSITY_KINDS = (UNIFORM, VANISHING)
 
 
 class DensityError(ValueError):
@@ -32,45 +30,27 @@ class DensityError(ValueError):
 class Density:
     """One-dimensional sampling density on an interval support.
 
-    ``uniform`` is flat; ``vanishing`` is |t - point| / half_width^2, which
-    integrates to 1 and vanishes linearly at its center point; ``tabulated``
-    interpolates user samples piecewise-linearly.
+    ``uniform`` is flat; ``vanishing`` is |t - center| / half_width^2, which
+    integrates to 1 and vanishes linearly at the support midpoint.
     """
 
     kind: str
     support: tuple[float, float]
-    point: float | None = None
-    xs: np.ndarray | None = None
-    ps: np.ndarray | None = None
 
     def __post_init__(self):
         lo, hi = self.support
         if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
             raise DensityError("support must be a finite interval of positive length")
-        if self.kind == VANISHING:
-            if self.point is None or not math.isclose(self.point, 0.5 * (lo + hi)):
-                raise DensityError("vanishing density is centered: point must be "
-                                   "the support midpoint")
-        elif self.kind == TABULATED:
-            xs = np.asarray(self.xs, dtype=float)
-            ps = np.asarray(self.ps, dtype=float)
-            if xs.ndim != 1 or xs.shape != ps.shape or xs.size < 2:
-                raise DensityError("tabulated density needs matching 1-d xs, ps")
-            if np.any(np.diff(xs) <= 0):
-                raise DensityError("tabulated xs must be strictly increasing")
-            if np.any(ps < 0):
-                raise DensityError("tabulated density must be non-negative")
-            mass = float(np.trapezoid(ps, xs))
-            if abs(mass - 1.0) > 1e-8:
-                raise DensityError(f"tabulated density integrates to {mass}, not 1")
-            object.__setattr__(self, "xs", xs)
-            object.__setattr__(self, "ps", ps)
-        elif self.kind != UNIFORM:
+        if self.kind not in DENSITY_KINDS:
             raise DensityError(f"unknown density kind {self.kind!r}")
 
     @property
     def half_width(self) -> float:
         return 0.5 * (self.support[1] - self.support[0])
+
+    @property
+    def center(self) -> float:
+        return 0.5 * (self.support[0] + self.support[1])
 
     def pdf(self, t):
         lo, hi = self.support
@@ -78,26 +58,17 @@ class Density:
         inside = (arr >= lo) & (arr <= hi)
         if self.kind == UNIFORM:
             out = np.where(inside, 1.0 / (hi - lo), 0.0)
-        elif self.kind == VANISHING:
-            w = self.half_width
-            out = np.where(inside, np.abs(arr - self.point) / (w * w), 0.0)
         else:
-            out = np.where(inside, np.interp(arr, self.xs, self.ps), 0.0)
+            w = self.half_width
+            out = np.where(inside, np.abs(arr - self.center) / (w * w), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw iid points; inverse-CDF for the two closed-form kinds."""
-        lo, hi = self.support
+        """Draw iid points by inverting the closed-form CDF."""
         if self.kind == UNIFORM:
-            return rng.uniform(lo, hi, size)
-        if self.kind == VANISHING:
-            u = rng.random(size) - 0.5
-            return self.point + np.sign(u) * self.half_width * np.sqrt(2.0 * np.abs(u))
-        grid = np.linspace(lo, hi, _TABULATED_GRID)
-        pdf = np.interp(grid, self.xs, self.ps)
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
-        cdf /= cdf[-1]
-        return np.interp(rng.random(size), cdf, grid)
+            return rng.uniform(*self.support, size)
+        u = rng.random(size) - 0.5
+        return self.center + np.sign(u) * self.half_width * np.sqrt(2.0 * np.abs(u))
 
 
 def uniform(lo: float, hi: float) -> Density:
@@ -107,12 +78,7 @@ def uniform(lo: float, hi: float) -> Density:
 def vanishing(point: float, half_width: float) -> Density:
     if not half_width > 0:
         raise DensityError("half_width must be positive")
-    return Density(VANISHING, (point - half_width, point + half_width), point=float(point))
-
-
-def tabulated(xs, ps) -> Density:
-    xs = np.asarray(xs, dtype=float)
-    return Density(TABULATED, (float(xs[0]), float(xs[-1])), xs=xs, ps=np.asarray(ps, float))
+    return Density(VANISHING, (point - half_width, point + half_width))
 
 
 def _ball_mass(density: Density, x: float, rho) -> np.ndarray:
@@ -122,19 +88,10 @@ def _ball_mass(density: Density, x: float, rho) -> np.ndarray:
     hi = np.minimum(x + rho, hi_s)
     if density.kind == UNIFORM:
         mass = np.clip(hi - lo, 0.0, None) / (hi_s - lo_s)
-    elif density.kind == VANISHING:
-        v, w = density.point, density.half_width
+    else:
+        v, w = density.center, density.half_width
         g = lambda t: (t - v) * np.abs(t - v) / 2.0
         mass = np.where(hi > lo, (g(hi) - g(lo)) / (w * w), 0.0)
-    else:
-        mass = np.empty_like(rho)
-        flat = mass.reshape(-1)
-        for i, (a, b) in enumerate(zip(np.atleast_1d(lo), np.atleast_1d(hi))):
-            if b <= a:
-                flat[i] = 0.0
-                continue
-            nodes = np.concatenate([[a], density.xs[(density.xs > a) & (density.xs < b)], [b]])
-            flat[i] = np.trapezoid(density.pdf(nodes), nodes)
     return np.clip(mass, 0.0, 1.0)
 
 
@@ -160,21 +117,21 @@ def _require_schedule(schedule) -> None:
 
 
 def _small_ball_power_law(density: Density, x: float):
-    """(a, beta) such that p_ball(rho) ~ a * rho^beta as rho -> 0, when known."""
+    """(a, beta) such that p_ball(rho) ~ a * rho^beta as rho -> 0.
+
+    ``beta`` is None only for a point outside the support, whose small
+    balls hold no mass at all.
+    """
     lo, hi = density.support
     if x < lo or x > hi:
         return 0.0, None
+    sides = 2.0 if lo < x < hi else 1.0
     if density.kind == UNIFORM:
-        level = 1.0 / (hi - lo)
-        sides = 2.0 if lo < x < hi else 1.0
-        return sides * level, 1.0
-    if density.kind == VANISHING:
-        w = density.half_width
-        if x == density.point:
-            return 1.0 / (w * w), 2.0
-        sides = 2.0 if lo < x < hi else 1.0
-        return sides * abs(x - density.point) / (w * w), 1.0
-    return None, None
+        return sides / (hi - lo), 1.0
+    w = density.half_width
+    if x == density.center:
+        return 1.0 / (w * w), 2.0
+    return sides * abs(x - density.center) / (w * w), 1.0
 
 
 def check_theorem32(density: Density, x: float, schedule: RadiusSchedule,
@@ -183,10 +140,10 @@ def check_theorem32(density: Density, x: float, schedule: RadiusSchedule,
     """Check the ball-mass convergence condition over a probe range.
 
     A ``RadiusSchedule`` decreases strictly to zero by construction, so what
-    remains is ``p_ball(N) >= c * N^(eps - 1)`` at every probed N.  For the
-    built-in densities the small-radius exponent comparison extends the
-    verdict beyond the probe range, including the closed-form first crossing
-    when it fails out there.
+    remains is ``p_ball(N) >= c * N^(eps - 1)`` at every probed N.  The
+    small-radius exponent comparison extends the verdict beyond the probe
+    range, including the closed-form first crossing when it fails out there.
+    A test point outside the support fails with no first failing N.
     """
     _require_schedule(schedule)
     if not c > 0:
@@ -223,9 +180,10 @@ def check_theorem32(density: Density, x: float, schedule: RadiusSchedule,
             return ConvergenceVerdict(False, first_failing_n=n_bad,
                                       reason="ball mass decays like N^-%.3g, "
                                              "too fast for epsilon=%.3g" % (decay, epsilon))
-    elif a == 0.0:
-        return ConvergenceVerdict(False, first_failing_n=hi_n + 1,
-                                  reason="test point lies outside the support")
+    else:
+        # the balls empty out once the radius drops below the distance to
+        # the support; the scan cannot say at which N beyond its range
+        return ConvergenceVerdict(False, reason="test point lies outside the support")
     return ConvergenceVerdict(True, c=c, epsilon=epsilon)
 
 

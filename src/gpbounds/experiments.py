@@ -39,6 +39,9 @@ EXPERIMENTS = (VARIANCE_UNIFORM, VARIANCE_VANISHING, LEARNING_CURVE,
                CONVERGENCE_CHECK)
 
 _EXPERIMENT_TAGS = {VARIANCE_UNIFORM: 1, VARIANCE_VANISHING: 2}
+# a variance experiment's name fixes its sampling density; a convergence
+# check reads the ``density`` key
+_VARIANCE_DENSITY = {VARIANCE_UNIFORM: conv.UNIFORM, VARIANCE_VANISHING: conv.VANISHING}
 
 VARIANCE_HEADER = ("idx", "sig_m", "sig_bm", "sig_bm_gen")
 CURVE_HEADER = ("idx", "y_exact", "y_bound", "yE1", "yE2")
@@ -174,6 +177,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("config key 'schedule_alpha': must lie in (0, 1]")
     if not cfg.domain_lo < cfg.domain_hi:
         raise ConfigError("config keys 'domain_lo'/'domain_hi': need lo < hi")
+    if cfg.density not in conv.DENSITY_KINDS:
+        raise ConfigError(f"config key 'density': must be one of {conv.DENSITY_KINDS}")
 
     if cfg.experiment in (VARIANCE_UNIFORM, VARIANCE_VANISHING):
         config_kernel(cfg)
@@ -196,8 +201,6 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         if cfg.test_points < 1:
             raise ConfigError("config key 'test_points': must be >= 1")
     else:
-        if cfg.density not in ("uniform", "vanishing"):
-            raise ConfigError("config key 'density': must be 'uniform' or 'vanishing'")
         if cfg.schedule_alpha is None:
             raise ConfigError("config key 'schedule_alpha': required for "
                               "convergence checks")
@@ -236,10 +239,8 @@ def write_csv(path, header, rows) -> None:
 
 
 def _config_density(cfg: ExperimentConfig) -> conv.Density:
-    if cfg.experiment == VARIANCE_VANISHING or cfg.density == "vanishing":
-        half = 0.5 * (cfg.domain_hi - cfg.domain_lo)
-        return conv.vanishing(0.5 * (cfg.domain_lo + cfg.domain_hi), half)
-    return conv.uniform(cfg.domain_lo, cfg.domain_hi)
+    kind = _VARIANCE_DENSITY.get(cfg.experiment, cfg.density)
+    return conv.Density(kind, (cfg.domain_lo, cfg.domain_hi))
 
 
 def run_variance_experiment(cfg: ExperimentConfig, out_path) -> list[tuple]:

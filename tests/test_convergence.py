@@ -8,7 +8,7 @@ from gpbounds.convergence import (Density, DensityError, ball_probability,
                                   bernoulli_central_moment,
                                   binomial_moment_bound, check_corollary33,
                                   check_theorem32, empirical_ball_growth,
-                                  tabulated, uniform, vanishing)
+                                  uniform, vanishing)
 
 
 # ------------------------------------------------------------- densities
@@ -26,10 +26,9 @@ def test_vanishing_matches_the_linear_ramp():
     assert d.pdf(1.0) == 0.0
     assert d.pdf(1.25) == 1.0
     assert d.pdf(0.5) == 2.0
+    assert d.center == 1.0 and d.half_width == 0.5
     with pytest.raises(DensityError):
         vanishing(1.0, 0.0)
-    with pytest.raises(DensityError):
-        Density("vanishing-at-point", (0.0, 1.0), point=0.2)
 
 
 def test_densities_integrate_to_one():
@@ -39,22 +38,21 @@ def test_densities_integrate_to_one():
         assert abs(mass - 1.0) < 1e-7
 
 
-def test_tabulated_validation():
-    xs = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(DensityError):
-        tabulated(xs[::-1], np.ones(11))
-    with pytest.raises(DensityError):
-        tabulated(xs, -np.ones(11))
-    with pytest.raises(DensityError):
-        tabulated(xs, 2.0 * np.ones(11))
-    d = tabulated(xs, np.ones(11))
-    assert d.pdf(0.5) == 1.0
+def test_density_is_kind_and_support():
+    # the kinds are spelled as in a config; the vanishing center is derived
+    assert Density("vanishing", (0.5, 1.5)) == vanishing(1.0, 0.5)
+    assert Density("uniform", (0.5, 1.5)) == uniform(0.5, 1.5)
+    assert Density("vanishing", (-1.0, 3.0)).center == 1.0
+    for kind in ("vanishing-at-point", "uniform-interval", "user-tabulated"):
+        with pytest.raises(DensityError, match="unknown density kind"):
+            Density(kind, (0.5, 1.5))
+    with pytest.raises(DensityError, match="support"):
+        Density("uniform", (1.5, 0.5))
 
 
 def test_sampling_stays_in_support_and_respects_shape():
     rng = np.random.default_rng(41)
-    for d in (uniform(0.5, 1.5), vanishing(1.0, 0.5),
-              tabulated(np.linspace(0.5, 1.5, 33), np.ones(33))):
+    for d in (uniform(0.5, 1.5), vanishing(1.0, 0.5)):
         pts = d.sample(4000, rng)
         lo, hi = d.support
         assert pts.min() >= lo and pts.max() <= hi
@@ -84,17 +82,25 @@ def test_ball_probability_monotone_and_continuous():
         assert np.max(np.abs(np.diff(vals))) < 0.02
 
 
-def test_tabulated_ball_probability_matches_closed_form():
-    xs = np.linspace(0.5, 1.5, 2001)
-    d = tabulated(xs, np.ones(2001))
-    ref = uniform(0.5, 1.5)
-    for rho in (0.05, 0.2, 0.45, 0.9):
-        assert math.isclose(ball_probability(d, 0.9, rho),
-                            ball_probability(ref, 0.9, rho), abs_tol=1e-9)
-    # off-center sample agreement for the ramp shape
-    ramp = np.abs(xs - 1.0) * 4.0
-    dv = tabulated(xs, ramp)
-    assert math.isclose(ball_probability(dv, 1.0, 0.1), 0.04, abs_tol=1e-6)
+def test_ball_probability_matches_integrated_pdf():
+    """The closed-form masses against a trapezoid rule on the pdf over
+    [x - rho, x + rho] intersected with the support."""
+    for d in (uniform(0.5, 1.5), vanishing(1.0, 0.5),
+              Density("vanishing", (-1.0, 3.0))):
+        lo, hi = d.support
+        w = d.half_width
+        # at the center, off center (the wider balls straddle it), near the
+        # left edge, and outside the support on the right
+        for x in (d.center, d.center + 0.2 * w, lo + 0.1 * w, hi + 0.2 * w):
+            for rho in (0.05 * w, 0.3 * w, 0.9 * w, 2.5 * w):
+                a, b = max(x - rho, lo), min(x + rho, hi)
+                if a < b:
+                    t = np.linspace(a, b, 100_001)
+                    want = float(np.trapezoid(d.pdf(t), t))
+                else:
+                    want = 0.0
+                assert math.isclose(ball_probability(d, x, rho), want, abs_tol=1e-6), \
+                    (d, x, rho)
 
 
 def test_ball_probability_rejects_negative_radius():
@@ -125,6 +131,18 @@ def test_rejection_beyond_the_probe_range_is_predicted():
                         1.0, 0.5, (1, 10))
     assert not v.satisfied
     assert v.first_failing_n == 17
+
+
+def test_point_outside_the_support_names_no_failing_n():
+    # the balls around 1.6 reach into [0.5, 1.5] until rho < 0.1, so the
+    # condition holds well past the probe range [1, 50] and first fails at
+    # N = 99; the verdict cannot know that N, so it reports none
+    d, s = uniform(0.5, 1.5), RadiusSchedule(1.0, 0.5)
+    v = check_theorem32(d, 1.6, s, 0.01, 0.5, (1, 50))
+    assert not v.satisfied
+    assert v.first_failing_n is None
+    assert "outside the support" in v.reason
+    assert check_theorem32(d, 1.6, s, 0.01, 0.5, (1, 200)).first_failing_n == 99
 
 
 def test_checker_input_validation():

@@ -9,8 +9,8 @@ import pytest
 from click.testing import CliRunner
 
 from gpbounds.cli import main
-from gpbounds.experiments import (ConfigError, ExperimentConfig, PRESETS,
-                                  format_value, load_config, log_grid,
+from gpbounds.experiments import (EXPERIMENTS, ConfigError, ExperimentConfig,
+                                  PRESETS, format_value, load_config, log_grid,
                                   parse_config_text, plot_script,
                                   preset_config, run_convergence_check,
                                   run_learning_curve, run_variance_experiment,
@@ -126,6 +126,15 @@ def test_validation_vanishing_needs_centered_test_point():
     base(experiment="variance-vanishing", test_point=1.0)
 
 
+def test_density_key_is_checked_for_every_experiment():
+    for experiment in EXPERIMENTS:
+        text = (f"experiment = {experiment}\nkernel = squared-exponential\n"
+                "schedule_alpha = 0.5\n")
+        parse_config_text(text)
+        with pytest.raises(ConfigError, match="'density'"):
+            parse_config_text(text + "density = bogus\n")
+
+
 def test_validation_learning_curve_needs_isotropy():
     with pytest.raises(ConfigError, match="isotropic"):
         base(experiment="learning-curve", kernel="polynomial")
@@ -221,6 +230,16 @@ def test_variance_runner_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     run_variance_experiment(small_variance_cfg(seed=2), b)
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_variance_experiment_name_fixes_the_density(tmp_path):
+    # only a convergence check reads the density key
+    text = ("experiment = variance-uniform\nkernel = squared-exponential\n"
+            "n_max = 30\ndatasets = 3\n")
+    plain, keyed = tmp_path / "plain.csv", tmp_path / "keyed.csv"
+    run_variance_experiment(parse_config_text(text), plain)
+    run_variance_experiment(parse_config_text(text + "density = vanishing\n"), keyed)
+    assert keyed.read_bytes() == plain.read_bytes()
 
 
 def test_learning_curve_runner(tmp_path):
@@ -364,6 +383,19 @@ def test_cli_convergence_reports_verdict(tmp_path):
     assert res.exit_code == 0, res.output
     assert "satisfied: yes" in res.output
     assert out.exists()
+
+
+def test_cli_convergence_outside_point_names_no_failing_n(tmp_path):
+    cfg = tmp_path / "outside.cfg"
+    cfg.write_text("experiment = convergence-check\nschedule_alpha = 0.5\n"
+                   "test_point = 1.6\nwitness_c = 0.01\nwitness_epsilon = 0.5\n"
+                   "n_max = 50\ntrials = 2\n")
+    res = CliRunner().invoke(main, ["convergence", "--config", str(cfg),
+                                    "--out", str(tmp_path / "g.csv")])
+    assert res.exit_code == 0, res.output
+    assert "satisfied: no" in res.output
+    assert "reason: test point lies outside the support" in res.output
+    assert "first failing n" not in res.output
 
 
 def test_cli_seed_override_changes_output(tmp_path):
