@@ -8,12 +8,10 @@ from .kernels import (ALL_KINDS, ISOTROPIC_KINDS, KERNEL_PARAMS, MATERN_HALF,
                       lipschitz_constant, make_kernel, matern_half,
                       neural_network, periodic, polynomial,
                       rational_quadratic, squared_exponential)
-from .gp import (FactorizationError, GPPosterior, TrainingSet, posterior_mean,
-                 posterior_variance)
-from .bounds import (BallCount, BoundError, BoundReport, RadiusSchedule,
-                     ball_count, bound_report, isotropic_bound,
-                     lipschitz_bound, one_point_bound, radius_at,
-                     two_point_bound)
+from .gp import FactorizationError, GPPosterior, TrainingSet
+from .bounds import (BoundError, BoundReport, RadiusSchedule, ball_count,
+                     bound_report, isotropic_bound, lipschitz_bound,
+                     one_point_bound, radius_at, two_point_bound)
 from .convergence import (ConvergenceVerdict, Density, DensityError, GrowthRow,
                           ball_probability, bernoulli_central_moment,
                           binomial_moment_bound, check_corollary33,
@@ -21,8 +19,7 @@ from .convergence import (ConvergenceVerdict, Density, DensityError, GrowthRow,
                           vanishing)
 from .curves import (CurveError, CurveRow, LearningCurveTable, QuadratureError,
                      SegmentPlan, e1_bound, e2_bound, e_rho_bound,
-                     greedy_select_n, i_n_integral, monte_carlo_curve,
-                     segment_plan, spacing_density)
+                     greedy_select_n, monte_carlo_curve, segment_plan)
 from .experiments import (ConfigError, ExperimentConfig, PRESETS, log_grid,
                           load_config, parse_config_text, plot_script,
                           preset_config, run_convergence_check,
@@ -38,8 +35,7 @@ __all__ = [
     "neural_network", "periodic", "polynomial", "rational_quadratic",
     "squared_exponential",
     "FactorizationError", "GPPosterior", "TrainingSet",
-    "posterior_mean", "posterior_variance",
-    "BallCount", "BoundError", "BoundReport", "RadiusSchedule", "ball_count",
+    "BoundError", "BoundReport", "RadiusSchedule", "ball_count",
     "bound_report", "isotropic_bound", "lipschitz_bound", "one_point_bound",
     "radius_at", "two_point_bound",
     "ConvergenceVerdict", "Density", "DensityError", "GrowthRow",
@@ -48,7 +44,7 @@ __all__ = [
     "uniform", "vanishing",
     "CurveError", "CurveRow", "LearningCurveTable", "QuadratureError",
     "SegmentPlan", "e1_bound", "e2_bound", "e_rho_bound", "greedy_select_n",
-    "i_n_integral", "monte_carlo_curve", "segment_plan", "spacing_density",
+    "monte_carlo_curve", "segment_plan",
     "ConfigError", "ExperimentConfig", "PRESETS", "log_grid", "load_config",
     "parse_config_text", "plot_script", "preset_config",
     "run_convergence_check", "run_learning_curve", "run_variance_experiment",

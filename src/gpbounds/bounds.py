@@ -30,22 +30,14 @@ class BoundError(ValueError):
     """A bound was asked for outside its admissible-parameter region."""
 
 
-@dataclass(frozen=True)
-class BallCount:
-    center: np.ndarray
-    radius: float
-    count: int
-
-
-def ball_count(train: TrainingSet, x, radius: float) -> BallCount:
+def ball_count(train: TrainingSet, x, radius: float) -> int:
     """Number of training inputs in the closed ball of the given radius."""
     if radius < 0:
         raise BoundError("radius must be non-negative")
-    xp = as_point(x)
     if train.n == 0:
-        return BallCount(xp, float(radius), 0)
-    dists = np.linalg.norm(train.inputs - xp, axis=1)
-    return BallCount(xp, float(radius), int(np.sum(dists <= radius)))
+        return 0
+    dists = np.linalg.norm(train.inputs - as_point(x), axis=1)
+    return int(np.sum(dists <= radius))
 
 
 def lipschitz_bound(kernel: Kernel, lipschitz: float, x, ballcount: int,
@@ -181,7 +173,7 @@ def bound_report(train: TrainingSet, kernel: Kernel, x, radius: float,
     """
     xp = as_point(x)
     exact = GPPosterior(train, kernel).variance(xp)
-    count = ball_count(train, xp, radius).count
+    count = ball_count(train, xp, radius)
     general = lipschitz_bound(kernel, lipschitz, xp, count, radius,
                               train.noise_variance)
     iso = one_pt = two_pt = None

@@ -146,6 +146,8 @@ def check_theorem32(density: Density, x: float, schedule: RadiusSchedule,
     A test point outside the support fails with no first failing N.
     """
     _require_schedule(schedule)
+    if not math.isfinite(x):
+        raise DensityError("test point x must be finite")
     if not c > 0:
         raise DensityError("witness constant c must be positive")
     if not 0.0 < epsilon < 1.0:

@@ -58,21 +58,6 @@ class QuadratureError(RuntimeError):
                          f"requested {requested:.3g}")
 
 
-def spacing_density(n: int, delta):
-    """Density N (1 - delta)^(N - 1) of a single uniform spacing on [0, 1]."""
-    if n < 1 or int(n) != n:
-        raise CurveError("N must be a positive integer")
-    d = np.asarray(delta, dtype=float)
-    if np.any((d < 0) | (d > 1)):
-        raise CurveError("delta must lie in [0, 1]")
-    if n == 1:
-        out = np.ones_like(d)
-    else:
-        with np.errstate(divide="ignore"):
-            out = np.exp(math.log(n) + (n - 1) * np.log1p(-d))
-    return float(out) if out.ndim == 0 else out
-
-
 @lru_cache(maxsize=1024)
 def _jacobi_rule(m: int, alpha: int, beta: int):
     """m-point Gauss rule for the probability density proportional to
@@ -93,13 +78,19 @@ def _jacobi_rule(m: int, alpha: int, beta: int):
     return nodes, weights
 
 
-def _converge(terms, tol: float) -> tuple[float, float]:
-    """Sum the node contributions ``terms(level)`` of a rule whose node
-    counts double per level until two sums agree within ``tol``, or the
-    levels run out.  Returns the last sum and its error estimate."""
+def _expectation(g, alpha: int, beta: int, tol: float) -> tuple[float, float]:
+    """E[g(D)] and its error for D with density proportional to
+    (1 - d)^alpha d^beta on [0, 1].  ``g(d, x, w)`` maps the outer nodes d
+    to values, integrating with the inner rule (x, w) on [0, 1].
+
+    The node counts double per level until two sums agree within ``tol``,
+    or the levels run out; the last sum and its error estimate are returned.
+    """
+    m_out, m_in = _START_NODES
     prev = None
     for level in range(_LEVELS):
-        t = terms(level)
+        d, wd = _jacobi_rule(m_out << level, alpha, beta)
+        t = wd * g(d, *_jacobi_rule(m_in << level, 0, 0))
         q = float(np.sum(t))
         if prev is not None:
             err = (abs(q - prev)
@@ -108,19 +99,6 @@ def _converge(terms, tol: float) -> tuple[float, float]:
                 break
         prev = q
     return q, err
-
-
-def _expectation(g, alpha: int, beta: int, tol: float) -> tuple[float, float]:
-    """E[g(D)] and its error for D with density proportional to
-    (1 - d)^alpha d^beta on [0, 1].  ``g(d, x, w)`` maps the outer nodes d
-    to values, integrating with the inner rule (x, w) on [0, 1]."""
-    m_out, m_in = _START_NODES
-
-    def terms(level):
-        d, wd = _jacobi_rule(m_out << level, alpha, beta)
-        return wd * g(d, *_jacobi_rule(m_in << level, 0, 0))
-
-    return _converge(terms, tol)
 
 
 def _k2_integral(kernel: Kernel, d, lo: float, hi: float, x, w):
@@ -223,42 +201,6 @@ def segment_plan(n_total: int, section_size: int) -> SegmentPlan:
     return SegmentPlan(n_tot, n, m, left, right, valid)
 
 
-def i_n_integral(kernel: Kernel, n_total: int, n: int, delta: float,
-                 quad_tol: float = 1e-9) -> float:
-    """Section integrand C(N, n-1) (1-d)^(N-n-1) d^(n-2) int_{d/2}^d k^2.
-
-    This is the printed form of the section integrand.  ``e_rho_bound``
-    weighs the same integral by the Beta(n-1, N-n+2) width density, which
-    equals this weight times (n-1)(1-d)^2.  Defined for 2 <= n <= N - 1;
-    the powers are evaluated in log space so large N stays finite.
-    """
-    if not kernel.isotropic:
-        raise CurveError("i_n_integral needs an isotropic kernel")
-    if int(n_total) != n_total or int(n) != n or not 2 <= n <= n_total - 1:
-        raise CurveError("need integer section size with 2 <= n <= N - 1")
-    if not 0.0 <= delta <= 1.0:
-        raise CurveError("delta must lie in [0, 1]")
-    exp1 = n_total - n - 1
-    exp2 = n - 2
-    if delta == 0.0 or (delta == 1.0 and exp1 > 0):
-        return 0.0
-    log_w = (math.lgamma(n_total + 1) - math.lgamma(n) - math.lgamma(n_total - n + 2))
-    if exp1 > 0:
-        log_w += exp1 * math.log1p(-delta)
-    if exp2 > 0:
-        log_w += exp2 * math.log(delta)
-    weight = math.exp(log_w)
-
-    def terms(level):
-        rule = _jacobi_rule(_START_NODES[1] << level, 0, 0)
-        return weight * _k2_integral(kernel, np.array([delta]), 0.5, 1.0, *rule)
-
-    val, err = _converge(terms, quad_tol)
-    if err > quad_tol:
-        raise QuadratureError(quad_tol, err)
-    return val
-
-
 def e_rho_bound(kernel: Kernel, noise_variance: float, n_total: int, n: int,
                 quad_tol: float = 1e-9) -> float:
     """Section bound on the average learning curve for section size n.
@@ -268,6 +210,10 @@ def e_rho_bound(kernel: Kernel, noise_variance: float, n_total: int, n: int,
     the noise floor shrunk to s/n; the two boundary blocks contribute the
     same way with their own counts.  Requires a valid segment_plan; fall
     back to e1_bound otherwise.
+
+    The paper prints the section integrand as
+    C(N, n-1) (1-d)^(N-n-1) d^(n-2) int_{d/2}^d k^2; the Beta(n-1, N-n+2)
+    width density used here is that printed weight times (n-1)(1-d)^2.
     """
     _check_curve_inputs(kernel, noise_variance, n_total)
     plan = segment_plan(n_total, n)
@@ -339,11 +285,6 @@ class CurveRow:
 @dataclass(frozen=True)
 class LearningCurveTable:
     rows: tuple[CurveRow, ...]
-    kernel: Kernel
-    noise_variance: float
-    seed: int
-    test_points: int
-    datasets: int
 
 
 _CURVE_TAG = 3
@@ -388,5 +329,4 @@ def monte_carlo_curve(kernel: Kernel, noise_variance: float, n_list,
         e2 = e2_bound(kernel, noise_variance, n, quad_tol)
         warm, e_rho = _greedy(kernel, noise_variance, n, warm, quad_tol)
         rows.append(CurveRow(n, e_num, se, e1, e2, e_rho, warm))
-    return LearningCurveTable(tuple(rows), kernel, noise_variance, seed,
-                              test_points, datasets)
+    return LearningCurveTable(tuple(rows))

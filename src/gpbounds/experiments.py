@@ -164,6 +164,10 @@ def config_kernel(cfg: ExperimentConfig) -> Kernel:
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"config key 'experiment': must be one of {EXPERIMENTS}")
+    for key, kind in _FIELD_TYPES.items():
+        value = getattr(cfg, key)
+        if kind in (float, float | None) and value is not None and not math.isfinite(value):
+            raise ConfigError(f"config key {key!r}: must be finite")
     for key in ("noise_variance", "schedule_c", "quad_tol"):
         if not getattr(cfg, key) > 0:
             raise ConfigError(f"config key {key!r}: must be positive")

@@ -103,11 +103,3 @@ class GPPosterior:
         k_x = kernel_vector(self.kernel, self.train.inputs, x)
         return float(k_x @ self._alpha)
 
-
-def posterior_variance(train: TrainingSet, kernel: Kernel, x) -> float:
-    """sigma_N^2(x) for one query; build a GPPosterior for repeated ones."""
-    return GPPosterior(train, kernel).variance(x)
-
-
-def posterior_mean(train: TrainingSet, kernel: Kernel, x) -> float:
-    return GPPosterior(train, kernel).mean(x)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gpbounds.bounds import (BoundError, RadiusSchedule, ball_count,
                              bound_report, isotropic_bound, lipschitz_bound,
                              one_point_bound, radius_at, two_point_bound)
-from gpbounds.gp import TrainingSet, posterior_variance
+from gpbounds.gp import GPPosterior, TrainingSet
 from gpbounds.kernels import (ALL_KINDS, KERNEL_PARAMS, lipschitz_constant,
                               make_kernel, matern_half, neural_network,
                               periodic, polynomial, rational_quadratic,
@@ -21,18 +21,18 @@ ISO_DECREASING = (squared_exponential, matern_half, rational_quadratic)
 
 def test_ball_count_zero_radius():
     train = TrainingSet([0.9, 1.2], 0.1)
-    assert ball_count(train, 1.0, 0.0).count == 0
+    assert ball_count(train, 1.0, 0.0) == 0
 
 
 def test_ball_count_closed_boundary():
     train = TrainingSet([0.9, 1.0, 1.2], 0.1)
-    assert ball_count(train, 1.0, 0.1).count == 2
+    assert ball_count(train, 1.0, 0.1) == 2
 
 
 def test_ball_count_covers_everything():
     train = TrainingSet([0.5, 0.7, 1.5], 0.1)
-    assert ball_count(train, 1.0, 1.0).count == 3
-    assert ball_count(TrainingSet(np.empty(0), 0.1), 1.0, 5.0).count == 0
+    assert ball_count(train, 1.0, 1.0) == 3
+    assert ball_count(TrainingSet(np.empty(0), 0.1), 1.0, 5.0) == 0
 
 
 def test_ball_count_rejects_negative_radius():
@@ -123,7 +123,7 @@ def test_one_point_bound_is_the_exact_single_sample_variance():
         for _ in range(20):
             tau = float(rng.uniform(0.0, 2.0))
             noise = float(rng.uniform(0.01, 0.5))
-            exact = posterior_variance(TrainingSet([1.0 + tau], noise), k, 1.0)
+            exact = GPPosterior(TrainingSet([1.0 + tau], noise), k).variance(1.0)
             assert math.isclose(one_point_bound(k, tau, noise), exact,
                                 rel_tol=1e-12, abs_tol=1e-12)
 
@@ -151,7 +151,7 @@ def test_two_point_bound_is_the_exact_two_sample_variance():
             # opposite sides: delta = t1 + t2; same side: delta = |t1 - t2|
             for delta, pts in (((t1 + t2), [1.0 - t1, 1.0 + t2]),
                                (abs(t1 - t2), [1.0 + t1, 1.0 + t2])):
-                exact = posterior_variance(TrainingSet(pts, noise), k, 1.0)
+                exact = GPPosterior(TrainingSet(pts, noise), k).variance(1.0)
                 got = two_point_bound(k, t1, t2, delta, noise)
                 assert math.isclose(got, exact, rel_tol=1e-12, abs_tol=1e-12)
 

@@ -148,6 +148,9 @@ def test_point_outside_the_support_names_no_failing_n():
 def test_checker_input_validation():
     d = uniform(0.0, 1.0)
     s = RadiusSchedule(1.0, 0.5)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DensityError, match="finite"):
+            check_theorem32(uniform(0.5, 1.5), x, s, 0.5, 0.5, (1, 50))
     with pytest.raises(DensityError):
         check_theorem32(d, 0.5, s, -1.0, 0.5, (1, 10))
     with pytest.raises(DensityError):

@@ -1,47 +1,25 @@
 import math
 import warnings
 
-import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from gpbounds.curves import (CurveError, QuadratureError, e1_bound, e2_bound,
-                             e_rho_bound, greedy_select_n, i_n_integral,
-                             monte_carlo_curve, segment_plan, spacing_density)
-from gpbounds.gp import TrainingSet, posterior_variance
+                             e_rho_bound, greedy_select_n, monte_carlo_curve,
+                             segment_plan)
+from gpbounds.gp import GPPosterior, TrainingSet
 from gpbounds.kernels import polynomial, squared_exponential
 
 SE = squared_exponential(lengthscale=0.3)
 NOISE = 0.05
 
 
-# ---------------------------------------------------------- spacing density
-
-def test_spacing_density_single_sample_is_flat():
-    d = np.linspace(0.0, 1.0, 7)
-    assert np.all(spacing_density(1, d) == 1.0)
-
-
-def test_spacing_density_normalizes():
-    for n in (1, 10, 100, 1000):
-        mass, _ = quad(lambda d: spacing_density(n, d), 0.0, 1.0,
-                       epsabs=1e-12, limit=200)
-        assert math.isclose(mass, 1.0, abs_tol=1e-9)
-
-
-def test_spacing_density_frozen_value():
-    assert math.isclose(spacing_density(100, 0.05), 100.0 * 0.95 ** 99,
-                        rel_tol=1e-13)
-
-
-def test_spacing_density_validation():
-    with pytest.raises(CurveError):
-        spacing_density(0, 0.5)
-    with pytest.raises(CurveError):
-        spacing_density(5, 1.2)
-
-
 # -------------------------------------------------------------- e1 and e2
+
+def spacing_density(n, d):
+    """Density N (1 - d)^(N - 1) of a single uniform spacing on [0, 1]."""
+    return n * (1.0 - d) ** (n - 1)
+
 
 def sq_int(kernel, lo, hi):
     v, _ = quad(lambda t: kernel.iso(t) ** 2, lo, hi, epsabs=1e-13,
@@ -82,7 +60,7 @@ def test_e2_inner_term_equals_the_exact_two_sample_reduction():
 
         def reduction(t):
             train = TrainingSet([1.0 - t, 1.0 - t + delta], NOISE)
-            return k0 - posterior_variance(train, SE, 1.0)
+            return k0 - GPPosterior(train, SE).variance(1.0)
 
         direct, _ = quad(reduction, 0.0, delta, epsabs=1e-11, limit=200)
         assert math.isclose(closed, direct, rel_tol=1e-8, abs_tol=1e-10)
@@ -135,27 +113,6 @@ def test_segment_plan_sample_accounting():
                 covered = (plan.left_count + plan.right_count
                            + plan.inner_sections * (n - 1) - 1)
                 assert covered == n_total
-
-
-# ------------------------------------------------------------ i_n integrand
-
-def test_i_n_frozen_value():
-    got = i_n_integral(SE, 5, 2, 0.2)
-    expected = 5.0 * 0.8 ** 2 * sq_int(SE, 0.1, 0.2)
-    assert math.isclose(got, expected, rel_tol=1e-10)
-
-
-def test_i_n_vanishing_prefactor():
-    assert i_n_integral(SE, 10, 3, 0.0) == 0.0
-
-
-def test_i_n_range_checks():
-    with pytest.raises(CurveError):
-        i_n_integral(SE, 5, 1, 0.2)
-    with pytest.raises(CurveError):
-        i_n_integral(SE, 5, 5, 0.2)
-    with pytest.raises(CurveError):
-        i_n_integral(SE, 5, 2, 1.5)
 
 
 # ------------------------------------------------------------ section bound

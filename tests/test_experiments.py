@@ -3,6 +3,7 @@ import math
 import re
 from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from gpbounds.experiments import (EXPERIMENTS, ConfigError, ExperimentConfig,
                                   preset_config, run_convergence_check,
                                   run_learning_curve, run_variance_experiment,
                                   validate_config)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 GOOD_VARIANCE = """
 # variance run at desk scale
@@ -84,7 +87,7 @@ def test_load_config_missing_file():
 
 
 def test_readme_key_table_names_every_config_field():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     lines = readme.split("Keys and defaults:", 1)[1].strip().splitlines()
     rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines))
     keys = []
@@ -92,6 +95,16 @@ def test_readme_key_table_names_every_config_field():
         cell = re.sub(r"\([^)]*\)", "", row.split("|")[2])  # drop "(default)" notes
         keys += re.findall(r"`([^`]+)`", cell)
     assert sorted(keys) == sorted(f.name for f in fields(ExperimentConfig))
+
+
+def test_readme_library_example_runs():
+    section = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    scope = {}
+    exec(re.search(r"```python\n(.*?)```", section, re.S).group(1), scope)
+    report = scope["report"]
+    assert report.ball == 67             # the count the prose states
+    assert report.isotropic >= report.exact
+    assert report.lipschitz >= report.exact
 
 
 # --------------------------------------------------------------- validation
@@ -118,6 +131,16 @@ def test_validation_rejects_bad_fields():
     # only the proved general bound is offered, so bound_form is no key
     with pytest.raises(ConfigError, match="line 10: unknown config key 'bound_form'"):
         parse_config_text(GOOD_VARIANCE + "bound_form = printed\n")
+
+
+def test_validation_rejects_non_finite_floats():
+    float_keys = [key for key, kind in get_type_hints(ExperimentConfig).items()
+                  if kind in (float, float | None)]
+    assert len(float_keys) == 16
+    for key in float_keys:
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigError, match=f"'{key}'"):
+                base(**{key: value})
 
 
 def test_validation_vanishing_needs_centered_test_point():
@@ -350,6 +373,22 @@ def test_cli_clipped_radius_run_succeeds(tmp_path):
                                     "--out", str(out)])
     assert res.exit_code == 0, res.output
     assert len(out.read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("command, text", [
+    ("variance", "experiment = variance-uniform\nkernel = squared-exponential\n"
+                 "domain_hi = inf\nn_max = 3\ndatasets = 2\n"),
+    ("convergence", "experiment = convergence-check\nschedule_alpha = 0.5\n"
+                    "test_point = nan\nn_max = 50\ntrials = 2\n"),
+], ids=["variance-inf-domain", "convergence-nan-point"])
+def test_cli_non_finite_config_value_exit_code(tmp_path, command, text):
+    cfg = tmp_path / "non-finite.cfg"
+    cfg.write_text(text)
+    res = CliRunner().invoke(main, [command, "--config", str(cfg),
+                                    "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 2, res.output
+    assert "config error" in res.output
+    assert "satisfied" not in res.output
 
 
 def test_cli_numeric_error_exit_code(tmp_path):

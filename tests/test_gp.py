@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
-from gpbounds.gp import (FactorizationError, GPPosterior, TrainingSet,
-                         posterior_mean, posterior_variance)
+from gpbounds.gp import FactorizationError, GPPosterior, TrainingSet
 from gpbounds.kernels import (kernel_matrix, kernel_vector, make_kernel,
                               matern_half, squared_exponential)
 
@@ -26,16 +25,16 @@ def dense_oracle(kernel, X, y, noise, x):
 def test_empty_training_set_gives_prior():
     train = TrainingSet(np.empty(0), 0.1)
     k = squared_exponential()
-    assert posterior_variance(train, k, 0.7) == 1.0
-    assert posterior_mean(TrainingSet(np.empty(0), 0.1, np.empty(0)), k, 0.7) == 0.0
+    assert GPPosterior(train, k).variance(0.7) == 1.0
+    assert GPPosterior(TrainingSet(np.empty(0), 0.1, np.empty(0)), k).mean(0.7) == 0.0
 
 
 def test_single_point_at_test_location():
     train = TrainingSet([1.0], 0.1, [1.0])
     k = squared_exponential()
-    assert math.isclose(posterior_variance(train, k, 1.0), 1.0 / 11.0,
+    assert math.isclose(GPPosterior(train, k).variance(1.0), 1.0 / 11.0,
                         rel_tol=1e-14)
-    assert math.isclose(posterior_mean(train, k, 1.0), 1.0 / 1.1,
+    assert math.isclose(GPPosterior(train, k).mean(1.0), 1.0 / 1.1,
                         rel_tol=1e-14)
 
 
@@ -46,8 +45,8 @@ def test_random_instance_matches_dense_oracle():
     y = rng.standard_normal(30)
     train = TrainingSet(X, 0.1, y)
     var, mean = dense_oracle(k, X.reshape(-1, 1), y, 0.1, 1.0)
-    assert math.isclose(posterior_variance(train, k, 1.0), var, rel_tol=1e-10)
-    assert math.isclose(posterior_mean(train, k, 1.0), mean, rel_tol=1e-10)
+    assert math.isclose(GPPosterior(train, k).variance(1.0), var, rel_tol=1e-10)
+    assert math.isclose(GPPosterior(train, k).mean(1.0), mean, rel_tol=1e-10)
 
 
 def test_oracle_sweep_all_kinds():
@@ -62,8 +61,8 @@ def test_oracle_sweep_all_kinds():
             x = float(rng.uniform(0.5, 1.5))
             train = TrainingSet(X, noise, y)
             var, mean = dense_oracle(k, X.reshape(-1, 1), y, noise, x)
-            assert abs(posterior_variance(train, k, x) - var) <= 1e-10 * max(1.0, abs(var))
-            assert abs(posterior_mean(train, k, x) - mean) <= 1e-10 * max(1.0, abs(mean))
+            assert abs(GPPosterior(train, k).variance(x) - var) <= 1e-10 * max(1.0, abs(var))
+            assert abs(GPPosterior(train, k).mean(x) - mean) <= 1e-10 * max(1.0, abs(mean))
 
 
 def test_variance_within_prior_band():
@@ -88,8 +87,8 @@ def test_adding_a_point_cannot_raise_variance():
         extra = float(rng.uniform(0.5, 1.5))
         noise = float(rng.uniform(0.01, 0.5))
         x = float(rng.uniform(0.5, 1.5))
-        before = posterior_variance(TrainingSet(X, noise), k, x)
-        after = posterior_variance(TrainingSet(np.append(X, extra), noise), k, x)
+        before = GPPosterior(TrainingSet(X, noise), k).variance(x)
+        after = GPPosterior(TrainingSet(np.append(X, extra), noise), k).variance(x)
         assert after <= before + 1e-10
 
 
@@ -117,7 +116,7 @@ def test_batch_matches_scalar_queries():
 def test_mean_requires_outputs():
     train = TrainingSet([1.0], 0.1)
     with pytest.raises(ValueError):
-        posterior_mean(train, squared_exponential(), 1.0)
+        GPPosterior(train, squared_exponential()).mean(1.0)
 
 
 def test_training_set_validation():

@@ -15,7 +15,7 @@ from scipy.stats import beta as beta_dist
 
 import gpbounds
 from gpbounds.curves import (_jacobi_rule, e1_bound, e2_bound, e_rho_bound,
-                             greedy_select_n, i_n_integral, segment_plan)
+                             greedy_select_n, segment_plan)
 from gpbounds.experiments import log_grid
 from gpbounds.kernels import (matern_half, periodic, rational_quadratic,
                               squared_exponential)
@@ -93,9 +93,10 @@ def oracle_e_rho(kernel, n_total, size):
 def test_rules_match_nested_adaptive_quadrature(kernel, n):
     assert abs(e1_bound(kernel, NOISE, n) - oracle_e1(kernel, n)) <= 1e-10
     assert abs(e2_bound(kernel, NOISE, n) - oracle_e2(kernel, n)) <= 1e-10
-    if segment_plan(n, 2).valid:
-        assert (abs(e_rho_bound(kernel, NOISE, n, 2) - oracle_e_rho(kernel, n, 2))
-                <= 1e-10)
+    for size in (2, 4, 7, 12):
+        if segment_plan(n, size).valid:
+            assert (abs(e_rho_bound(kernel, NOISE, n, size)
+                        - oracle_e_rho(kernel, n, size)) <= 1e-10)
 
 
 # ---------------------------------------------------------- Jacobi rules
@@ -124,20 +125,6 @@ def test_jacobi_rule_reproduces_beta_moments(m, alpha, beta):
     for j in range(2 * m):
         assert math.isclose(float(np.sum(w * d ** j)), moment, rel_tol=1e-12)
         moment *= (beta + 1 + j) / (alpha + beta + 2 + j)
-
-
-# ------------------------------------------------------ section integrand
-
-def test_i_n_integral_is_the_section_weight_up_to_a_factor():
-    """e_rho_bound weighs int_{d/2}^d k^2 by the Beta(n-1, N-n+2) density;
-    i_n_integral carries the same integral with that density divided by
-    (n-1)(1-d)^2."""
-    for kernel in KERNELS:
-        for n_total, n, d in ((5, 2, 0.2), (30, 4, 0.1), (2000, 12, 0.006),
-                              (300, 7, 0.5)):
-            lhs = i_n_integral(kernel, n_total, n, d) * (n - 1) * (1.0 - d) ** 2
-            rhs = beta_dist.pdf(d, n - 1, n_total - n + 2) * _sq(kernel, d / 2.0, d)
-            assert math.isclose(lhs, rhs, rel_tol=1e-10)
 
 
 # ------------------------------------------------------ greedy selection
