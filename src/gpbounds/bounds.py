@@ -32,7 +32,7 @@ class BoundError(ValueError):
 
 def ball_count(train: TrainingSet, x, radius: float) -> int:
     """Number of training inputs in the closed ball of the given radius."""
-    if radius < 0:
+    if not radius >= 0:
         raise BoundError("radius must be non-negative")
     if train.n == 0:
         return 0

@@ -81,25 +81,41 @@ def vanishing(point: float, half_width: float) -> Density:
     return Density(VANISHING, (point - half_width, point + half_width))
 
 
-def _ball_mass(density: Density, x: float, rho) -> np.ndarray:
-    rho = np.asarray(rho, dtype=float)
-    lo_s, hi_s = density.support
-    lo = np.maximum(x - rho, lo_s)
-    hi = np.minimum(x + rho, hi_s)
-    if density.kind == UNIFORM:
-        mass = np.clip(hi - lo, 0.0, None) / (hi_s - lo_s)
-    else:
-        v, w = density.center, density.half_width
-        g = lambda t: (t - v) * np.abs(t - v) / 2.0
-        mass = np.where(hi > lo, (g(hi) - g(lo)) / (w * w), 0.0)
-    return np.clip(mass, 0.0, 1.0)
+def _mass_terms(density: Density, x: float, rho: float) -> tuple[float, float, float]:
+    """(a0, a1, a2), p_ball(r) = a0 + a1 r + a2 r^2 on the radii piece holding rho.
+
+    Each ball end x + s r (s = +-1) adds s (F - 1/2), F the CDF, measured from
+    d = x - center, so a point an ulp off the vanishing center keeps its d^2.
+    """
+    lo, hi = density.support
+    d, w = x - density.center, density.half_width
+    a0 = a1 = a2 = 0.0
+    for s in (1.0, -1.0):
+        u = s * rho  # the end's offset from x
+        if u >= hi - x:
+            a0 += 0.5 * s
+        elif u <= lo - x:
+            a0 -= 0.5 * s
+        elif density.kind == UNIFORM:  # F - 1/2 = (d + u) / (hi - lo)
+            a0 += s * d / (hi - lo)
+            a1 += 1.0 / (hi - lo)
+        else:  # F - 1/2 = +-(d + u)^2 / (2 w^2), the sign of d + u
+            k = (0.5 if u > -d else -0.5) / (w * w)
+            a0 += s * k * d * d
+            a1 += 2.0 * k * d
+            a2 += s * k
+    return a0, a1, a2
 
 
 def ball_probability(density: Density, x: float, radius: float) -> float:
     """Probability mass of the closed ball [x - radius, x + radius]."""
-    if radius < 0:
+    if not math.isfinite(x):
+        raise DensityError("test point x must be finite")
+    if not radius >= 0:
         raise DensityError("radius must be non-negative")
-    return float(_ball_mass(density, float(x), float(radius)))
+    a0, a1, a2 = _mass_terms(density, float(x), float(radius))
+    # a constant piece also holds radius = inf, where 0 * radius would be nan
+    return min(max(a0 + (radius * (a1 + a2 * radius) if a1 or a2 else 0.0), 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -116,77 +132,60 @@ def _require_schedule(schedule) -> None:
         raise DensityError("schedule must be a RadiusSchedule")
 
 
-def _small_ball_power_law(density: Density, x: float):
-    """(a, beta) such that p_ball(rho) ~ a * rho^beta as rho -> 0.
-
-    ``beta`` is None only for a point outside the support, whose small
-    balls hold no mass at all.
-    """
-    lo, hi = density.support
-    if x < lo or x > hi:
-        return 0.0, None
-    sides = 2.0 if lo < x < hi else 1.0
-    if density.kind == UNIFORM:
-        return sides / (hi - lo), 1.0
-    w = density.half_width
-    if x == density.center:
-        return 1.0 / (w * w), 2.0
-    return sides * abs(x - density.center) / (w * w), 1.0
-
-
 def check_theorem32(density: Density, x: float, schedule: RadiusSchedule,
                     c: float, epsilon: float,
                     n_range: tuple[int, int]) -> ConvergenceVerdict:
-    """Check the ball-mass convergence condition over a probe range.
+    """Decide ``p_ball(rho(N)) >= c * N^(eps - 1)`` at every N >= n_range[0].
 
-    A ``RadiusSchedule`` decreases strictly to zero by construction, so what
-    remains is ``p_ball(N) >= c * N^(eps - 1)`` at every probed N.  The
-    small-radius exponent comparison extends the verdict beyond the probe
-    range, including the closed-form first crossing when it fails out there.
-    A test point outside the support fails with no first failing N.
+    Only ``n_range[0]`` bounds it; a ``RadiusSchedule`` already shrinks to 0.
+    H(N) = N^(1-eps) p_ball is monotone between knots, where a ball end
+    crosses lo, hi or the center or dH/dN = 0 (clamped at 1e300).  The knots'
+    integers are checked in order and a failure is bisected from the last
+    pass; past the last knot the small-ball term decides, or doubling N does.
     """
     _require_schedule(schedule)
     if not math.isfinite(x):
         raise DensityError("test point x must be finite")
-    if not c > 0:
-        raise DensityError("witness constant c must be positive")
-    if not 0.0 < epsilon < 1.0:
-        raise DensityError("epsilon must lie in (0, 1)")
-    lo_n, hi_n = int(n_range[0]), int(n_range[1])
-    if lo_n < 1 or hi_n < lo_n:
-        raise DensityError("n_range must satisfy 1 <= lo <= hi")
+    if not (0.0 < c < math.inf and 0.0 < epsilon < 1.0):
+        raise DensityError("witness c must be positive and finite, epsilon in (0, 1)")
+    lo_n = int(n_range[0])
+    if lo_n < 1:
+        raise DensityError("n_range must start at N >= 1")
+    x, alpha, c_s, gap = float(x), schedule.exponent, schedule.coefficient, 1.0 - epsilon
 
-    ns = np.arange(lo_n, hi_n + 1)
-    rhos = schedule.raw(ns)
-    targets = c * ns.astype(float) ** (epsilon - 1.0)
-    masses = _ball_mass(density, float(x), rhos)
-    # exact equality p = c N^(eps-1) satisfies the condition; the interval
-    # arithmetic behind the mass loses a few ulps, so compare with slack
-    failing = masses < targets - 1e-12 * np.maximum(targets, 1.0)
-    if np.any(failing):
-        n_bad = int(ns[failing][0])
-        return ConvergenceVerdict(False, first_failing_n=n_bad,
-                                  reason="ball mass %.3g < required %.3g at N=%d"
-                                         % (masses[failing][0], targets[failing][0], n_bad))
+    def fails(n):  # equality satisfies; the slack absorbs rounding
+        return (ball_probability(density, x, schedule.raw(n))
+                < c * float(n) ** -gap * (1.0 - 1e-12))
 
-    a, beta = _small_ball_power_law(density, float(x))
-    if beta is not None:
-        lead = a * schedule.coefficient ** beta
-        decay = schedule.exponent * beta
-        if decay > 1.0 - epsilon or (decay == 1.0 - epsilon and lead < c):
-            if decay > 1.0 - epsilon and lead > 0:
-                cross = (lead / c) ** (1.0 / (decay - (1.0 - epsilon)))
-                n_bad = max(hi_n + 1, int(math.floor(cross)) + 1)
-            else:
-                n_bad = hi_n + 1
-            return ConvergenceVerdict(False, first_failing_n=n_bad,
-                                      reason="ball mass decays like N^-%.3g, "
-                                             "too fast for epsilon=%.3g" % (decay, epsilon))
-    else:
-        # the balls empty out once the radius drops below the distance to
-        # the support; the scan cannot say at which N beyond its range
-        return ConvergenceVerdict(False, reason="test point lies outside the support")
-    return ConvergenceVerdict(True, c=c, epsilon=epsilon)
+    radii = sorted({abs(x - t) for t in (*density.support, density.center)} - {0.0})
+    edges = [0.0] + radii + [math.inf]
+    for r_lo, r_hi in zip(edges, edges[1:]):  # where dH/dN = 0 on each piece
+        a0, a1, a2 = _mass_terms(density, x, 0.5 * r_lo + 0.5 * r_hi)
+        roots = np.roots([a2 * (gap - 2.0 * alpha), a1 * (gap - alpha), a0 * gap])
+        radii += [r.real for r in roots if not r.imag and r_lo < r.real < r_hi]
+    knots = {math.floor(math.exp(min((math.log(c_s) - math.log(r)) / alpha,
+                                     math.log(1e300)))) for r in radii}
+    candidates = sorted({lo_n} | {m for k in knots for m in (k, k + 1) if m > lo_n})
+    failing = next((n for n in candidates if fails(n)), None)
+    passing = max(n for n in [lo_n - 1] + candidates if failing is None or n < failing)
+    if failing is None:
+        # past the last knot H is monotone; an empty ball's a0 is 0, so a_j rho^j leads
+        _, a1, a2 = _mass_terms(density, x, 0.5 * edges[1])
+        j, lead = (1, a1) if a1 else (2, a2)
+        if lead and (gap > j * alpha or gap == j * alpha  # H -> lead c_s^j
+                     and not lead * c_s * c_s ** (j - 1) < c * (1.0 - 1e-12)):
+            return ConvergenceVerdict(True, c=c, epsilon=epsilon)
+        while passing < 1e300 and not fails(2 * passing):
+            passing *= 2
+        if passing >= 1e300:
+            return ConvergenceVerdict(False, reason="ball mass decays too fast; "
+                                      "it fails only beyond N = 1e300")
+        failing = 2 * passing
+    while failing - passing > 1:
+        mid = (passing + failing) // 2
+        passing, failing = (passing, mid) if fails(mid) else (mid, failing)
+    return ConvergenceVerdict(False, first_failing_n=failing, reason="ball mass < "
+                              "required %.3g at N=%d" % (c * float(failing) ** -gap, failing))
 
 
 def check_corollary33(dimension: int, schedule: RadiusSchedule) -> ConvergenceVerdict:

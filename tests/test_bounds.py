@@ -38,6 +38,9 @@ def test_ball_count_covers_everything():
 def test_ball_count_rejects_negative_radius():
     with pytest.raises(BoundError):
         ball_count(TrainingSet([1.0], 0.1), 1.0, -0.01)
+    # a NaN radius is not non-negative either, and would count nothing
+    with pytest.raises(BoundError):
+        ball_count(TrainingSet([1.0, 1.2], 0.1), 1.0, math.nan)
 
 
 # ------------------------------------------------------------- general bound

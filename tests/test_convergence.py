@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpbounds.bounds import RadiusSchedule
 from gpbounds.convergence import (Density, DensityError, ball_probability,
@@ -9,6 +10,7 @@ from gpbounds.convergence import (Density, DensityError, ball_probability,
                                   binomial_moment_bound, check_corollary33,
                                   check_theorem32, empirical_ball_growth,
                                   uniform, vanishing)
+from gpbounds.experiments import log_grid, preset_config
 
 
 # ------------------------------------------------------------- densities
@@ -108,6 +110,44 @@ def test_ball_probability_rejects_negative_radius():
         ball_probability(uniform(0.0, 1.0), 0.5, -0.1)
 
 
+def test_sampling_helpers_reject_non_finite_inputs():
+    d = uniform(0.5, 1.5)
+    for x in (math.nan, math.inf):
+        with pytest.raises(DensityError, match="finite"):
+            ball_probability(d, x, 0.1)
+        with pytest.raises(DensityError, match="finite"):
+            empirical_ball_growth(d, x, RadiusSchedule(1.0, 0.5), [10], 2, seed=1)
+    with pytest.raises(DensityError, match="non-negative"):
+        ball_probability(d, 1.0, math.nan)
+    # an infinite ball still holds the whole support
+    for d in (uniform(0.5, 1.5), vanishing(1.0, 0.5)):
+        assert ball_probability(d, 1.0, math.inf) == 1.0
+        assert ball_probability(d, 7.0, math.inf) == 1.0
+
+
+def interval_mass(d, x, rho):
+    """The mass as F(min(x + rho, hi)) - F(max(x - rho, lo)), clipping the
+    ball to the support instead of splitting it into pieces."""
+    lo, hi = d.support
+    a, b = max(x - rho, lo), min(x + rho, hi)
+    if d.kind == "uniform":
+        return max(b - a, 0.0) / (hi - lo)
+    g = lambda t: (t - d.center) * abs(t - d.center) / 2.0
+    return (g(b) - g(a)) / (d.half_width * d.half_width) if b > a else 0.0
+
+
+def test_preset_expected_counts_keep_the_interval_mass():
+    # the expected counts of the two convergence presets' growth tables
+    for name in ("convergence-uniform", "convergence-vanishing"):
+        cfg = preset_config(name)
+        d = Density(cfg.density, (cfg.domain_lo, cfg.domain_hi))
+        s = RadiusSchedule(cfg.schedule_c, cfg.schedule_alpha)
+        for n in log_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade):
+            rho = s.raw(n)
+            assert math.isclose(ball_probability(d, cfg.test_point, rho),
+                                interval_mass(d, cfg.test_point, rho), rel_tol=1e-14)
+
+
 # -------------------------------------------------------- growth checker
 
 def test_uniform_schedule_accepted():
@@ -133,16 +173,86 @@ def test_rejection_beyond_the_probe_range_is_predicted():
     assert v.first_failing_n == 17
 
 
-def test_point_outside_the_support_names_no_failing_n():
-    # the balls around 1.6 reach into [0.5, 1.5] until rho < 0.1, so the
-    # condition holds well past the probe range [1, 50] and first fails at
-    # N = 99; the verdict cannot know that N, so it reports none
+def test_point_outside_the_support_names_its_first_failing_n():
+    # the balls around 1.6 reach into [0.5, 1.5] until rho < 0.1: the mass
+    # N^(-1/2) - 0.1 first falls below 0.01 N^(-1/2) at N = 99, past the
+    # probe range [1, 50], which does not bound the verdict
     d, s = uniform(0.5, 1.5), RadiusSchedule(1.0, 0.5)
-    v = check_theorem32(d, 1.6, s, 0.01, 0.5, (1, 50))
+    for n_max in (50, 200):
+        v = check_theorem32(d, 1.6, s, 0.01, 0.5, (1, n_max))
+        assert not v.satisfied
+        assert v.first_failing_n == 99
+
+
+def test_points_near_the_vanishing_center_fail_with_it():
+    # the center of (0.1, 0.7) is 0.39999999999999997, not 0.4; every ball
+    # above radius ~1e-16 straddles it, so p ~ rho^2 = N^(-2/3) falls below
+    # N^(-1/2) at the same N for all three points
+    d, s = Density("vanishing", (0.1, 0.7)), RadiusSchedule(1.0, 1.0 / 3.0)
+    for x in (0.4, 0.400001, d.center):
+        v = check_theorem32(d, x, s, 1.0, 0.5, (1, 1000))
+        assert not v.satisfied
+        assert v.first_failing_n == 1_881_677
+
+
+def test_failure_beyond_1e300_names_no_n():
+    # p = 2 N^(-0.500000001) against 0.5 N^(-1/2) fails only at N ~ 4^(1e9)
+    v = check_theorem32(uniform(0.5, 1.5), 1.0, RadiusSchedule(1.0, 0.500000001),
+                        0.5, 0.5, (1, 10_000))
     assert not v.satisfied
     assert v.first_failing_n is None
-    assert "outside the support" in v.reason
-    assert check_theorem32(d, 1.6, s, 0.01, 0.5, (1, 200)).first_failing_n == 99
+    assert "beyond N = 1e300" in v.reason
+
+
+def first_failure_by_scan(d, x, s, c, epsilon, n_lo, n_hi):
+    """The first N in [n_lo, n_hi] where the checker's predicate fails."""
+    for n in range(n_lo, n_hi + 1):
+        target = c * float(n) ** (epsilon - 1.0)
+        if ball_probability(d, x, s.raw(n)) < target * (1.0 - 1e-12):
+            return n
+    return None
+
+
+@st.composite
+def checker_cases(draw):
+    lo, w = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.05, 2.0))
+    d = Density(draw(st.sampled_from(["uniform", "vanishing"])), (lo, lo + 2.0 * w))
+    near = d.center + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** -draw(st.integers(1, 16))
+    # the center, a point 10^-k off it, the edges, anywhere in or around the support
+    x = draw(st.sampled_from([d.center, near, *d.support])
+             | st.floats(lo - w, lo + 3.0 * w))
+    s = RadiusSchedule(draw(st.floats(0.05, 10.0)), draw(st.floats(0.05, 1.0)))
+    return (d, x, s, draw(st.floats(1e-3, 10.0)), draw(st.floats(0.01, 0.99)),
+            draw(st.integers(1, 20)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=checker_cases())
+def test_checker_matches_a_brute_force_scan(case):
+    d, x, s, c, epsilon, n_lo = case
+    v = check_theorem32(d, x, s, c, epsilon, (n_lo, n_lo))
+    want = first_failure_by_scan(d, x, s, c, epsilon, n_lo, 5000)
+    if want is not None:
+        assert v.first_failing_n == want
+    else:
+        assert v.first_failing_n is None or v.first_failing_n > 5000
+    assert not (v.satisfied and v.first_failing_n is not None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["uniform", "vanishing"]),
+       w=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+       offset=st.floats(-1e-300, 1e-300),
+       coefficient=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+       alpha=st.floats(0.01, 1.0), c=st.floats(1e-6, 1e3),
+       epsilon=st.floats(0.001, 0.999))
+def test_checker_returns_a_verdict_on_extreme_inputs(kind, w, offset, coefficient,
+                                                     alpha, c, epsilon):
+    # warnings are errors under the test configuration
+    d, s = Density(kind, (-w, w)), RadiusSchedule(coefficient, alpha)
+    for x in (offset, w, 2.0 * w):
+        v = check_theorem32(d, x, s, c, epsilon, (1, 10))
+        assert v.first_failing_n is None or (not v.satisfied and v.first_failing_n >= 1)
 
 
 def test_checker_input_validation():
@@ -151,8 +261,9 @@ def test_checker_input_validation():
     for x in (math.nan, math.inf, -math.inf):
         with pytest.raises(DensityError, match="finite"):
             check_theorem32(uniform(0.5, 1.5), x, s, 0.5, 0.5, (1, 50))
-    with pytest.raises(DensityError):
-        check_theorem32(d, 0.5, s, -1.0, 0.5, (1, 10))
+    for c in (-1.0, math.inf, math.nan):
+        with pytest.raises(DensityError):
+            check_theorem32(d, 0.5, s, c, 0.5, (1, 10))
     with pytest.raises(DensityError):
         check_theorem32(d, 0.5, s, 1.0, 1.5, (1, 10))
     with pytest.raises(DensityError):

@@ -424,17 +424,41 @@ def test_cli_convergence_reports_verdict(tmp_path):
     assert out.exists()
 
 
-def test_cli_convergence_outside_point_names_no_failing_n(tmp_path):
-    cfg = tmp_path / "outside.cfg"
-    cfg.write_text("experiment = convergence-check\nschedule_alpha = 0.5\n"
-                   "test_point = 1.6\nwitness_c = 0.01\nwitness_epsilon = 0.5\n"
-                   "n_max = 50\ntrials = 2\n")
-    res = CliRunner().invoke(main, ["convergence", "--config", str(cfg),
-                                    "--out", str(tmp_path / "g.csv")])
+def run_convergence_cli(tmp_path, text):
+    cfg = tmp_path / "check.cfg"
+    cfg.write_text("experiment = convergence-check\n" + text + "n_max = 50\ntrials = 2\n")
+    return CliRunner().invoke(main, ["convergence", "--config", str(cfg),
+                                     "--out", str(tmp_path / "g.csv")])
+
+
+def test_cli_convergence_outside_point_names_first_failing_n(tmp_path):
+    # the first failure lies past n_max, which does not bound the verdict
+    res = run_convergence_cli(tmp_path, "schedule_alpha = 0.5\ntest_point = 1.6\n"
+                                        "witness_c = 0.01\nwitness_epsilon = 0.5\n")
     assert res.exit_code == 0, res.output
     assert "satisfied: no" in res.output
-    assert "reason: test point lies outside the support" in res.output
+    assert "first failing n = 99\n" in res.output
+
+
+def test_cli_convergence_point_an_ulp_off_the_vanishing_center(tmp_path):
+    # 0.4 is one ulp above the center 0.39999999999999997 of (0.1, 0.7)
+    res = run_convergence_cli(tmp_path, "density = vanishing\ndomain_lo = 0.1\n"
+                                        "domain_hi = 0.7\ntest_point = 0.4\n"
+                                        "schedule_alpha = 0.3333333333333333\n"
+                                        "witness_c = 1\nwitness_epsilon = 0.5\n")
+    assert res.exit_code == 0, res.output
+    assert "satisfied: no" in res.output
+    assert "first failing n = 1881677\n" in res.output
+
+
+def test_cli_convergence_failure_beyond_1e300(tmp_path):
+    # the uniform preset's geometry with a schedule that decays a hair too fast
+    res = run_convergence_cli(tmp_path, "schedule_alpha = 0.500000001\n"
+                                        "witness_c = 0.5\nwitness_epsilon = 0.5\n")
+    assert res.exit_code == 0, res.output
+    assert "satisfied: no" in res.output
     assert "first failing n" not in res.output
+    assert "beyond N = 1e300" in res.output
 
 
 def test_cli_seed_override_changes_output(tmp_path):
