@@ -20,6 +20,10 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from .kernels import Kernel, as_point, as_points, kernel_matrix, kernel_vector
 
 
+# columns of the Gram built per kernel_matrix call; 64 and 128 ran alike
+_GRAM_BLOCK = 64
+
+
 class FactorizationError(RuntimeError):
     """The regularized covariance could not be Cholesky-factored."""
 
@@ -63,10 +67,16 @@ class GPPosterior:
             self._cho = None
             self._alpha = None
             return
-        A = kernel_matrix(kernel, train.inputs)
+        # cho_factor(lower=True) reads only the lower triangle, so only that
+        # is built, column block by column block, and factored in place.  The
+        # buffer starts at zero because the finiteness check scans all of it.
+        X, n = train.inputs, train.n
+        A = np.zeros((n, n), order="F")
+        for j in range(0, n, _GRAM_BLOCK):
+            A[j:, j:j + _GRAM_BLOCK] = kernel_matrix(kernel, X[j:], X[j:j + _GRAM_BLOCK])
         A[np.diag_indices_from(A)] += train.noise_variance
         try:
-            self._cho = cho_factor(A, lower=True)
+            self._cho = cho_factor(A, lower=True, overwrite_a=True)
         except np.linalg.LinAlgError as exc:
             raise FactorizationError(
                 f"covariance factorization failed for N={train.n}: {exc}") from exc
@@ -91,8 +101,11 @@ class GPPosterior:
             priors = np.array([self.kernel.prior_variance(row) for row in Xp])
         if self.train.n == 0:
             return priors
-        V = solve_triangular(self._cho[0], kernel_matrix(self.kernel, self.train.inputs, Xp),
-                             lower=True)
+        K_x = kernel_matrix(self.kernel, self.train.inputs, Xp)
+        # cho_factor has already checked the factor; only the queries are new
+        if not np.all(np.isfinite(K_x)):
+            raise ValueError("query covariances must be finite")
+        V = solve_triangular(self._cho[0], K_x, lower=True, check_finite=False)
         return priors - np.einsum("ij,ij->j", V, V)
 
     def mean(self, x) -> float:

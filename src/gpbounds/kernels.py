@@ -153,14 +153,23 @@ class Kernel:
 
 
 def _nn_gram(kernel: Kernel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """s2 (2/pi) arcsin(2 s_xz / sqrt((1 + 2 s_xx)(1 + 2 s_zz))), with
+    s_xz = sb + sw x.z, computed in place in one (n, m) buffer."""
     sb, sw = kernel.bias_variance, kernel.weight_variance
-    s_xz = sb + sw * (X @ Z.T)
+    s = X @ Z.T
+    s *= sw
+    s += sb
     s_xx = sb + sw * np.sum(X * X, axis=1)
     s_zz = sb + sw * np.sum(Z * Z, axis=1)
-    denom = np.sqrt(np.outer(1.0 + 2.0 * s_xx, 1.0 + 2.0 * s_zz))
+    denom = np.multiply.outer(1.0 + 2.0 * s_xx, 1.0 + 2.0 * s_zz)
+    np.sqrt(denom, out=denom)
+    s *= 2.0
+    s /= denom
     # rounding can push the ratio a hair past 1 for coincident points
-    arg = np.clip(2.0 * s_xz / denom, -1.0, 1.0)
-    return kernel.signal_variance * (2.0 / np.pi) * np.arcsin(arg)
+    np.clip(s, -1.0, 1.0, out=s)
+    np.arcsin(s, out=s)
+    s *= kernel.signal_variance * (2.0 / np.pi)
+    return s
 
 
 def kernel_matrix(kernel: Kernel, X, Z=None) -> np.ndarray:

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from gpbounds.gp import FactorizationError, GPPosterior, TrainingSet
-from gpbounds.kernels import (kernel_matrix, kernel_vector, make_kernel,
-                              matern_half, squared_exponential)
+from gpbounds.gp import _GRAM_BLOCK, FactorizationError, GPPosterior, TrainingSet
+from gpbounds.kernels import (_nn_gram, kernel_matrix, kernel_vector, make_kernel,
+                              matern_half, neural_network, squared_exponential)
 
 KINDS = ("squared-exponential", "matern-1/2", "rational-quadratic",
          "periodic", "polynomial", "neural-network")
@@ -184,3 +184,89 @@ def test_two_dimensional_point_is_one_query():
         k_x = kernel_vector(k, X, x)
         oracle = k.prior_variance(x) - k_x @ np.linalg.solve(A, k_x)
         assert math.isclose(v, oracle, rel_tol=1e-10)
+
+
+def _zero_above_diagonal_blocks(L):
+    B = _GRAM_BLOCK
+    return all(np.all(L[j:j + B, j + B:] == 0.0) for j in range(0, len(L), B))
+
+
+def test_blocked_factor_equals_the_dense_factor():
+    """The factor built from the lower triangle, block by block, equals
+    cho_factor of the full Gram bit for bit in 1-D.  Above the diagonal
+    blocks the buffer is never written and must stay exactly zero, since
+    cho_factor's finiteness check scans it.  In 2-D a block's matmul may
+    round differently by an ulp, so that case is held to 1e-12."""
+    rng = np.random.default_rng(29)
+    B = _GRAM_BLOCK
+    xs = rng.uniform(0.5, 1.5, 50)
+    for kind in KINDS:
+        k = make_kernel(kind)
+        for n in (1, 2, B - 1, B, B + 1, 2 * B + 1, 300):
+            X = rng.uniform(0.5, 1.5, n)
+            oracle = cho_factor(kernel_matrix(k, X) + 0.1 * np.eye(n), lower=True)
+            post = GPPosterior(TrainingSet(X, 0.1), k)
+            L = post._cho[0]
+            assert np.array_equal(np.tril(L), np.tril(oracle[0])), (kind, n)
+            assert _zero_above_diagonal_blocks(L), (kind, n)
+            V = solve_triangular(oracle[0], kernel_matrix(k, X, xs), lower=True)
+            priors = np.array([k.prior_variance(x) for x in xs])
+            assert np.array_equal(post.variance_batch(xs),
+                                  priors - np.einsum("ij,ij->j", V, V)), (kind, n)
+    X2 = rng.uniform(0.5, 1.5, (2 * B + 1, 2))
+    for k in (squared_exponential(lengthscale=0.5), make_kernel("polynomial"),
+              make_kernel("neural-network")):
+        oracle = cho_factor(kernel_matrix(k, X2) + 0.1 * np.eye(len(X2)), lower=True)
+        L = GPPosterior(TrainingSet(X2, 0.1), k)._cho[0]
+        assert np.allclose(np.tril(L), np.tril(oracle[0]), rtol=1e-12, atol=0)
+        assert _zero_above_diagonal_blocks(L)
+
+
+def _nn_ratio(kernel, X, Z):
+    sb, sw = kernel.bias_variance, kernel.weight_variance
+    s_xz = sb + sw * (X @ Z.T)
+    s_xx = sb + sw * np.sum(X * X, axis=1)
+    s_zz = sb + sw * np.sum(Z * Z, axis=1)
+    denom = np.sqrt(np.outer(1.0 + 2.0 * s_xx, 1.0 + 2.0 * s_zz))
+    return 2.0 * s_xz / denom
+
+
+def test_in_place_nn_gram_equals_the_expression():
+    """The in-place arcsine Gram equals the one-expression form bit for bit."""
+    rng = np.random.default_rng(30)
+    kernels = (neural_network(),
+               neural_network(bias_variance=0.3, weight_variance=7.0, signal_variance=2.5))
+    cases = [(rng.uniform(0.5, 1.5, (n, 1)), rng.uniform(-2.0, 2.0, (m, 1)))
+             for n, m in ((1, 1), (10, 3), (300, 300), (1220, 64))]
+    # coincident large points, where rounding pushes the ratio past 1
+    big = np.repeat(rng.uniform(-1e9, 1e9, (40, 1)), 3, axis=0)
+    cases.append((big, big))
+    cases.append((rng.uniform(-1.0, 1.0, (50, 2)), rng.uniform(-1.0, 1.0, (20, 2))))
+    clipped = False
+    for k in kernels:
+        for X, Z in cases:
+            ratio = _nn_ratio(k, X, Z)
+            clipped |= bool(np.any(ratio > 1.0))
+            oracle = k.signal_variance * (2.0 / np.pi) * np.arcsin(np.clip(ratio, -1.0, 1.0))
+            assert np.array_equal(_nn_gram(k, X, Z), oracle)
+            assert np.array_equal(kernel_matrix(k, X, Z), oracle)
+    assert clipped
+
+
+def test_non_finite_query_is_rejected():
+    """A query whose covariances are not finite raises ValueError.  The
+    squared-exponential covariance with an infinitely far point is a finite
+    0, so that query returns the prior."""
+    X = np.linspace(0.0, 1.0, 5)
+    for k in (squared_exponential(), make_kernel("periodic"), neural_network()):
+        post = GPPosterior(TrainingSet(X, 0.1), k)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError):
+                post.variance(np.nan)
+            with pytest.raises(ValueError):
+                post.variance_batch([np.nan, 0.5])
+            if k.kind != "squared-exponential":
+                with pytest.raises(ValueError):
+                    post.variance_batch([0.5, np.inf])
+    post = GPPosterior(TrainingSet(X, 0.1), squared_exponential())
+    assert post.variance_batch([0.5, np.inf])[1] == 1.0
