@@ -36,7 +36,7 @@ def ball_count(train: TrainingSet, x, radius: float) -> int:
         raise BoundError("radius must be non-negative")
     if train.n == 0:
         return 0
-    dists = np.linalg.norm(train.inputs - as_point(x), axis=1)
+    dists = np.abs(train.inputs - as_point(x))
     return int(np.sum(dists <= radius))
 
 
@@ -51,8 +51,8 @@ def lipschitz_bound(kernel: Kernel, lipschitz: float, x, ballcount: int,
     """
     if ballcount < 0 or int(ballcount) != ballcount:
         raise BoundError("ballcount must be a non-negative integer")
-    if radius < 0 or lipschitz < 0:
-        raise BoundError("radius and lipschitz must be non-negative")
+    if not (0 <= radius < math.inf and 0 <= lipschitz < math.inf):
+        raise BoundError("radius and lipschitz must be non-negative and finite")
     if not noise_variance > 0:
         raise BoundError("noise_variance must be positive")
     k = kernel.prior_variance(x)
@@ -79,7 +79,7 @@ def isotropic_bound(kernel: Kernel, ballcount: int, radius: float,
     if ballcount < 1 or int(ballcount) != ballcount:
         raise BoundError("ballcount must be a positive integer; "
                          "an empty ball leaves the prior variance k(0)")
-    if radius < 0 or not noise_variance > 0:
+    if not radius >= 0 or not noise_variance > 0:
         raise BoundError("need radius >= 0 and noise_variance > 0")
     k0 = kernel.iso(0.0)
     return k0 - kernel.iso(radius) ** 2 / (k0 + noise_variance / ballcount)
@@ -89,8 +89,8 @@ def one_point_bound(kernel: Kernel, tau: float, noise_variance: float) -> float:
     """Exact posterior variance given a single sample at distance tau."""
     if not kernel.isotropic:
         raise BoundError("one_point_bound needs an isotropic kernel")
-    if tau < 0 or not noise_variance > 0:
-        raise BoundError("need tau >= 0 and noise_variance > 0")
+    if not (0 <= tau < math.inf and noise_variance > 0):
+        raise BoundError("need finite tau >= 0 and noise_variance > 0")
     k0 = kernel.iso(0.0)
     return k0 - kernel.iso(tau) ** 2 / (k0 + noise_variance)
 
@@ -183,12 +183,12 @@ def bound_report(train: TrainingSet, kernel: Kernel, x, radius: float,
         else:
             iso = kernel.iso(0.0)
     if kernel.isotropic and train.n >= 1:
-        dists = np.linalg.norm(train.inputs - xp, axis=1)
+        dists = np.abs(train.inputs - xp)
         order = np.argsort(dists)
         one_pt = one_point_bound(kernel, float(dists[order[0]]), train.noise_variance)
         if train.n >= 2:
             p1, p2 = train.inputs[order[0]], train.inputs[order[1]]
-            delta = float(np.linalg.norm(p1 - p2))
+            delta = float(abs(p1 - p2))
             two_pt = two_point_bound(kernel, float(dists[order[0]]),
                                      float(dists[order[1]]), delta,
                                      train.noise_variance)

@@ -192,10 +192,10 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         if not cfg.domain_lo <= cfg.test_point <= cfg.domain_hi:
             raise ConfigError("config key 'test_point': must lie in the domain")
         if cfg.experiment == VARIANCE_VANISHING:
-            mid = 0.5 * (cfg.domain_lo + cfg.domain_hi)
-            if not math.isclose(cfg.test_point, mid):
-                raise ConfigError("variance-vanishing needs test_point at the "
-                                  "domain midpoint (the density vanishes there)")
+            center = _config_density(cfg).center
+            if cfg.test_point != center:
+                raise ConfigError(f"variance-vanishing needs test_point at the domain "
+                                  f"midpoint {center!r} (the density vanishes there)")
     elif cfg.experiment == LEARNING_CURVE:
         kernel = config_kernel(cfg)
         if not kernel.isotropic:

@@ -1,7 +1,7 @@
 """Exact Gaussian-process posterior mean and variance.
 
-Zero prior mean throughout.  With training inputs ``X`` (N rows), outputs
-``y``, noise variance ``s``, and ``A = K + s I``:
+Zero prior mean throughout.  With scalar training inputs ``X`` (N points),
+outputs ``y``, noise variance ``s``, and ``A = K + s I``:
 
     mean(x)     = k_x' A^{-1} y
     variance(x) = k(x, x) - k_x' A^{-1} k_x
@@ -54,7 +54,7 @@ class TrainingSet:
 
     @property
     def n(self) -> int:
-        return self.inputs.shape[0]
+        return self.inputs.size
 
 
 class GPPosterior:
@@ -85,20 +85,20 @@ class GPPosterior:
             self._alpha = cho_solve(self._cho, train.outputs)
 
     def variance(self, x) -> float:
-        """Posterior variance at one point (a scalar or a length-d array)."""
-        return float(self.variance_batch(as_point(x).reshape(1, -1))[0])
+        """Posterior variance at one scalar point."""
+        return float(self.variance_batch(as_point(x))[0])
 
     def variance_batch(self, X) -> np.ndarray:
-        """Posterior variance at each row of X, reusing the factorization.
+        """Posterior variance at each point of X, reusing the factorization.
 
         With ``A = L L'`` and ``V = L^{-1} k(X_train, X)``, the quadratic form
         ``k_x' A^{-1} k_x`` is the squared norm of each column of ``V``.
         """
         Xp = as_points(X)
         if self.kernel.isotropic:
-            priors = np.full(Xp.shape[0], float(self.kernel.signal_variance))
+            priors = np.full(Xp.size, float(self.kernel.signal_variance))
         else:
-            priors = np.array([self.kernel.prior_variance(row) for row in Xp])
+            priors = np.array([self.kernel.prior_variance(x) for x in Xp])
         if self.train.n == 0:
             return priors
         K_x = kernel_matrix(self.kernel, self.train.inputs, Xp)

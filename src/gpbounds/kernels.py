@@ -6,7 +6,9 @@ kinds (cubic polynomial and arcsine neural-network).  Its typed fields hold
 every parameter, and ``KERNEL_PARAMS`` names the fields each kind reads.
 What the variance bounds need to know, whether the kernel is isotropic and
 whether ``k(tau)`` is non-increasing, follows from the kind alone;
-``lipschitz_constant`` gives a per-argument Lipschitz constant over a box.
+``lipschitz_constant`` gives a per-argument Lipschitz constant over an
+interval.  Inputs are scalars: a point is a float, a set of points a 1-D
+array (an (n, 1) column is read as one).
 
 Functional forms (``s2`` is the signal variance, ``l`` the lengthscale):
 
@@ -14,7 +16,7 @@ Functional forms (``s2`` is the signal variance, ``l`` the lengthscale):
 * matern-1/2            ``s2 * exp(-tau / l)``
 * rational-quadratic    ``s2 * (1 + tau^2 / (2 a l^2))^(-a)``
 * periodic              ``s2 * exp(-2 sin^2(pi tau / p) / l^2)``
-* polynomial            ``s2 * (x.z + c)^d``           (default c=1, d=3)
+* polynomial            ``s2 * (x z + c)^d``           (default c=1, d=3)
 * neural-network        arcsine form on the augmented input (1, x) with
                         bias/weight variances (default 1)
 """
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 SQUARED_EXPONENTIAL = "squared-exponential"
 MATERN_HALF = "matern-1/2"
@@ -42,26 +43,20 @@ class KernelError(ValueError):
     """Invalid kernel parameters or an operation unsupported by this kind."""
 
 
-def as_point(x) -> np.ndarray:
-    """Coerce a scalar or length-d array to a single point of shape (d,)."""
-    a = np.asarray(x, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1)
-    if a.ndim != 1:
-        raise KernelError(f"expected a single point, got shape {a.shape}")
-    return a
-
-
 def as_points(x) -> np.ndarray:
-    """Coerce input to an (n, d) array; a 1-d array is read as n scalar points."""
+    """Coerce a scalar, a 1-D array or an (n, 1) column to a 1-D float array."""
     a = np.asarray(x, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    elif a.ndim == 1:
-        a = a.reshape(-1, 1)
-    elif a.ndim != 2:
-        raise KernelError(f"expected points of shape (n, d), got {a.shape}")
-    return a
+    if a.ndim > 2 or (a.ndim == 2 and a.shape[1] != 1):
+        raise KernelError(f"expected scalar points, got shape {a.shape}")
+    return a.reshape(-1)
+
+
+def as_point(x) -> float:
+    """Coerce a scalar, or an array holding one value, to a float."""
+    a = as_points(x)
+    if a.size != 1:
+        raise KernelError(f"expected a single point, got shape {np.shape(x)}")
+    return float(a[0])
 
 
 # kind -> the Kernel fields its formula reads; every other field must keep
@@ -139,11 +134,9 @@ class Kernel:
     def __call__(self, x, z) -> float:
         """Evaluate k(x, z) for a pair of points."""
         xp, zp = as_point(x), as_point(z)
-        if xp.shape != zp.shape:
-            raise KernelError("x and z must have the same dimension")
         if self.isotropic:
-            return float(self.iso(float(np.linalg.norm(xp - zp))))
-        return float(kernel_matrix(self, xp.reshape(1, -1), zp.reshape(1, -1))[0, 0])
+            return self.iso(abs(xp - zp))
+        return float(kernel_matrix(self, xp, zp)[0, 0])
 
     def prior_variance(self, x) -> float:
         """k(x, x); constant (= signal variance) for isotropic kinds."""
@@ -154,13 +147,13 @@ class Kernel:
 
 def _nn_gram(kernel: Kernel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """s2 (2/pi) arcsin(2 s_xz / sqrt((1 + 2 s_xx)(1 + 2 s_zz))), with
-    s_xz = sb + sw x.z, computed in place in one (n, m) buffer."""
+    s_xz = sb + sw x z, computed in place in one (n, m) buffer."""
     sb, sw = kernel.bias_variance, kernel.weight_variance
-    s = X @ Z.T
+    s = np.multiply.outer(X, Z)
     s *= sw
     s += sb
-    s_xx = sb + sw * np.sum(X * X, axis=1)
-    s_zz = sb + sw * np.sum(Z * Z, axis=1)
+    s_xx = sb + sw * (X * X)
+    s_zz = sb + sw * (Z * Z)
     denom = np.multiply.outer(1.0 + 2.0 * s_xx, 1.0 + 2.0 * s_zz)
     np.sqrt(denom, out=denom)
     s *= 2.0
@@ -176,19 +169,17 @@ def kernel_matrix(kernel: Kernel, X, Z=None) -> np.ndarray:
     """Cross-covariance matrix k(X, Z); Z defaults to X."""
     Xp = as_points(X)
     Zp = Xp if Z is None else as_points(Z)
-    if Xp.shape[1] != Zp.shape[1]:
-        raise KernelError("point sets must share a dimension")
     if kernel.isotropic:
-        return kernel.iso(cdist(Xp, Zp))
+        return kernel.iso(np.abs(np.subtract.outer(Xp, Zp)))
     if kernel.kind == POLYNOMIAL:
-        return kernel.signal_variance * (Xp @ Zp.T + kernel.offset) ** kernel.degree
+        prod = np.multiply.outer(Xp, Zp)
+        return kernel.signal_variance * (prod + kernel.offset) ** kernel.degree
     return _nn_gram(kernel, Xp, Zp)
 
 
 def kernel_vector(kernel: Kernel, X, x) -> np.ndarray:
-    """Covariances between the rows of X and a single point x, shape (n,)."""
-    xp = as_point(x)
-    return kernel_matrix(kernel, X, xp.reshape(1, -1))[:, 0]
+    """Covariances between the points X and a single point x, shape (n,)."""
+    return kernel_matrix(kernel, X, as_point(x))[:, 0]
 
 
 def squared_exponential(lengthscale: float = 1.0, signal_variance: float = 1.0) -> Kernel:
@@ -238,13 +229,11 @@ class LipschitzEstimate:
     safety_factor: float
 
 
-def _as_box(domain) -> np.ndarray:
-    box = np.asarray(domain, dtype=float)
-    if box.ndim == 1 and box.size == 2:
-        box = box.reshape(1, 2)
-    if box.ndim != 2 or box.shape[1] != 2 or np.any(box[:, 1] < box[:, 0]):
-        raise KernelError("domain must be (lo, hi) or an array of per-axis (lo, hi)")
-    return box
+def _as_interval(domain) -> tuple[float, float]:
+    ends = np.asarray(domain, dtype=float)
+    if ends.shape != (2,) or not np.all(np.isfinite(ends)) or ends[1] < ends[0]:
+        raise KernelError("domain must be a finite interval (lo, hi) with lo <= hi")
+    return float(ends[0]), float(ends[1])
 
 
 GRID_POINTS = 10_000
@@ -252,7 +241,7 @@ SAFETY_FACTOR = 1.05
 
 
 def lipschitz_constant(kernel: Kernel, domain) -> LipschitzEstimate:
-    """Upper bound on |k(x, z) - k(x', z)| / ||x - x'|| over a box domain.
+    """Upper bound on |k(x, z) - k(x', z)| / |x - x'| over an interval (lo, hi).
 
     Closed forms exist for the squared-exponential (s2 * e^(-1/2) / l, the
     maximum of tau * exp(-tau^2/2)) and the Matern-1/2 (s2 / l, the one-sided
@@ -261,34 +250,29 @@ def lipschitz_constant(kernel: Kernel, domain) -> LipschitzEstimate:
     single-point domain admits any constant, so 0 is returned and quoted as
     analytic.
     """
-    box = _as_box(domain)
-    diam = float(np.linalg.norm(box[:, 1] - box[:, 0]))
-    if diam == 0.0:
+    lo, hi = _as_interval(domain)
+    if hi == lo:
         return LipschitzEstimate(0.0, "analytic", 1.0)
     s2, l = kernel.signal_variance, kernel.lengthscale
     if kernel.kind == SQUARED_EXPONENTIAL:
         return LipschitzEstimate(s2 * math.exp(-0.5) / l, "analytic", 1.0)
     if kernel.kind == MATERN_HALF:
         return LipschitzEstimate(s2 / l, "analytic", 1.0)
-    return _grid_lipschitz(kernel, box, diam)
+    return _grid_lipschitz(kernel, lo, hi)
 
 
-def _grid_lipschitz(kernel: Kernel, box: np.ndarray, diam: float) -> LipschitzEstimate:
+def _grid_lipschitz(kernel: Kernel, lo: float, hi: float) -> LipschitzEstimate:
     """Largest absolute difference quotient on a 10^4-point grid, inflated
-    by a 1.05 safety factor: k(tau) over [0, diam] for isotropic kinds,
-    k(x, z) over a 10^4 x 201 grid of the (one-dimensional) box otherwise."""
+    by a 1.05 safety factor: k(tau) over [0, hi - lo] for isotropic kinds,
+    k(x, z) over a 10^4 x 201 grid of the interval otherwise."""
     if kernel.isotropic:
-        taus = np.linspace(0.0, diam, GRID_POINTS)
+        taus = np.linspace(0.0, hi - lo, GRID_POINTS)
         vals = kernel.iso(taus)
         slope = float(np.max(np.abs(np.diff(vals)))) / (taus[1] - taus[0])
         return LipschitzEstimate(slope * SAFETY_FACTOR, "grid-estimate", SAFETY_FACTOR)
 
-    if box.shape[0] != 1:
-        raise KernelError("grid Lipschitz estimation is one-dimensional only")
-    lo, hi = box[0]
-    xs = np.linspace(lo, hi, GRID_POINTS).reshape(-1, 1)
-    zs = np.linspace(lo, hi, 201).reshape(-1, 1)
+    xs = np.linspace(lo, hi, GRID_POINTS)
+    zs = np.linspace(lo, hi, 201)
     K = kernel_matrix(kernel, xs, zs)
-    h = xs[1, 0] - xs[0, 0]
-    slope = float(np.max(np.abs(np.diff(K, axis=0)))) / h
+    slope = float(np.max(np.abs(np.diff(K, axis=0)))) / (xs[1] - xs[0])
     return LipschitzEstimate(slope * SAFETY_FACTOR, "grid-estimate", SAFETY_FACTOR)

@@ -174,6 +174,27 @@ def test_two_points_never_worse_than_the_nearest_alone():
         assert two <= one_point_bound(k, float(t1), 0.1) + 1e-12
 
 
+SE = squared_exponential()
+NAN = math.nan
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lipschitz_bound(SE, 0.6, 1.0, 3, NAN, 0.1),
+    lambda: lipschitz_bound(SE, NAN, 1.0, 3, 0.1, 0.1),
+    lambda: lipschitz_bound(SE, math.inf, 1.0, 3, 0.0, 0.1),
+    lambda: isotropic_bound(SE, 3, NAN, 0.1),
+    lambda: one_point_bound(SE, NAN, 0.1),
+    lambda: one_point_bound(periodic(), math.inf, 0.1),
+], ids=["lipschitz-radius", "lipschitz-constant", "lipschitz-infinite",
+        "isotropic-radius", "one-point-tau", "one-point-infinite-tau"])
+def test_non_finite_arguments_are_rejected(call):
+    """A nan radius, tau or Lipschitz constant raises instead of returning a
+    nan "upper bound"; so do an infinite Lipschitz constant, whose product
+    with a zero radius is nan, and an infinite tau, where sin is nan."""
+    with pytest.raises(BoundError):
+        call()
+
+
 # ------------------------------------------------------------- schedules
 
 def test_radius_schedule_frozen_value():

@@ -147,6 +147,14 @@ def test_validation_vanishing_needs_centered_test_point():
     with pytest.raises(ConfigError, match="midpoint"):
         base(experiment="variance-vanishing", test_point=1.2)
     base(experiment="variance-vanishing", test_point=1.0)
+    # on (0.1, 0.7) the center is 0.39999999999999997, not 0.4; only the
+    # exact center is accepted, and the message quotes it
+    for near in (0.4, 0.40000000001):
+        with pytest.raises(ConfigError, match="midpoint 0.39999999999999997"):
+            base(experiment="variance-vanishing", domain_lo=0.1, domain_hi=0.7,
+                 test_point=near)
+    base(experiment="variance-vanishing", domain_lo=0.1, domain_hi=0.7,
+         test_point=0.39999999999999997)
 
 
 def test_density_key_is_checked_for_every_experiment():

@@ -5,8 +5,9 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from gpbounds.gp import _GRAM_BLOCK, FactorizationError, GPPosterior, TrainingSet
-from gpbounds.kernels import (_nn_gram, kernel_matrix, kernel_vector, make_kernel,
-                              matern_half, neural_network, squared_exponential)
+from gpbounds.kernels import (KernelError, _nn_gram, kernel_matrix, kernel_vector,
+                              lipschitz_constant, make_kernel, matern_half,
+                              neural_network, squared_exponential)
 
 KINDS = ("squared-exponential", "matern-1/2", "rational-quadratic",
          "periodic", "polynomial", "neural-network")
@@ -171,19 +172,22 @@ def test_triangular_quadratic_form_matches_cho_solve_oracle():
             assert np.allclose(singles, oracle[:20], rtol=1e-9, atol=0)
 
 
-def test_two_dimensional_point_is_one_query():
-    """A length-2 point is one 2-D query, not two scalar ones."""
-    rng = np.random.default_rng(28)
-    X = rng.uniform(0.5, 1.5, (15, 2))
-    x = np.array([1.0, 0.8])
-    for k in (squared_exponential(lengthscale=0.5), make_kernel("neural-network")):
-        post = GPPosterior(TrainingSet(X, 0.1), k)
-        v = post.variance(x)
-        assert v == post.variance_batch(x.reshape(1, -1))[0]
-        A = kernel_matrix(k, X) + 0.1 * np.eye(len(X))
-        k_x = kernel_vector(k, X, x)
-        oracle = k.prior_variance(x) - k_x @ np.linalg.solve(A, k_x)
-        assert math.isclose(v, oracle, rel_tol=1e-10)
+def test_two_column_points_are_rejected():
+    """Inputs are scalars: a 2-column array, a length-2 point or a 2-row
+    Lipschitz box raises KernelError rather than being read as 2-D."""
+    X2 = np.random.default_rng(28).uniform(0.5, 1.5, (15, 2))
+    k = squared_exponential(lengthscale=0.5)
+    post = GPPosterior(TrainingSet(X2[:, 0], 0.1), k)
+    with pytest.raises(KernelError):
+        kernel_matrix(k, X2)
+    with pytest.raises(KernelError):
+        TrainingSet(X2, 0.1)
+    with pytest.raises(KernelError):
+        post.variance(np.array([1.0, 0.8]))
+    with pytest.raises(KernelError):
+        post.variance_batch(X2)
+    with pytest.raises(KernelError):
+        lipschitz_constant(make_kernel("rational-quadratic"), [[0.5, 1.5], [0.5, 1.5]])
 
 
 def _zero_above_diagonal_blocks(L):
@@ -193,10 +197,9 @@ def _zero_above_diagonal_blocks(L):
 
 def test_blocked_factor_equals_the_dense_factor():
     """The factor built from the lower triangle, block by block, equals
-    cho_factor of the full Gram bit for bit in 1-D.  Above the diagonal
-    blocks the buffer is never written and must stay exactly zero, since
-    cho_factor's finiteness check scans it.  In 2-D a block's matmul may
-    round differently by an ulp, so that case is held to 1e-12."""
+    cho_factor of the full Gram bit for bit.  Above the diagonal blocks the
+    buffer is never written and must stay exactly zero, since cho_factor's
+    finiteness check scans it."""
     rng = np.random.default_rng(29)
     B = _GRAM_BLOCK
     xs = rng.uniform(0.5, 1.5, 50)
@@ -213,20 +216,13 @@ def test_blocked_factor_equals_the_dense_factor():
             priors = np.array([k.prior_variance(x) for x in xs])
             assert np.array_equal(post.variance_batch(xs),
                                   priors - np.einsum("ij,ij->j", V, V)), (kind, n)
-    X2 = rng.uniform(0.5, 1.5, (2 * B + 1, 2))
-    for k in (squared_exponential(lengthscale=0.5), make_kernel("polynomial"),
-              make_kernel("neural-network")):
-        oracle = cho_factor(kernel_matrix(k, X2) + 0.1 * np.eye(len(X2)), lower=True)
-        L = GPPosterior(TrainingSet(X2, 0.1), k)._cho[0]
-        assert np.allclose(np.tril(L), np.tril(oracle[0]), rtol=1e-12, atol=0)
-        assert _zero_above_diagonal_blocks(L)
 
 
 def _nn_ratio(kernel, X, Z):
     sb, sw = kernel.bias_variance, kernel.weight_variance
-    s_xz = sb + sw * (X @ Z.T)
-    s_xx = sb + sw * np.sum(X * X, axis=1)
-    s_zz = sb + sw * np.sum(Z * Z, axis=1)
+    s_xz = sb + sw * np.outer(X, Z)
+    s_xx = sb + sw * (X * X)
+    s_zz = sb + sw * (Z * Z)
     denom = np.sqrt(np.outer(1.0 + 2.0 * s_xx, 1.0 + 2.0 * s_zz))
     return 2.0 * s_xz / denom
 
@@ -236,12 +232,11 @@ def test_in_place_nn_gram_equals_the_expression():
     rng = np.random.default_rng(30)
     kernels = (neural_network(),
                neural_network(bias_variance=0.3, weight_variance=7.0, signal_variance=2.5))
-    cases = [(rng.uniform(0.5, 1.5, (n, 1)), rng.uniform(-2.0, 2.0, (m, 1)))
+    cases = [(rng.uniform(0.5, 1.5, n), rng.uniform(-2.0, 2.0, m))
              for n, m in ((1, 1), (10, 3), (300, 300), (1220, 64))]
     # coincident large points, where rounding pushes the ratio past 1
-    big = np.repeat(rng.uniform(-1e9, 1e9, (40, 1)), 3, axis=0)
+    big = np.repeat(rng.uniform(-1e9, 1e9, 40), 3)
     cases.append((big, big))
-    cases.append((rng.uniform(-1.0, 1.0, (50, 2)), rng.uniform(-1.0, 1.0, (20, 2))))
     clipped = False
     for k in kernels:
         for X, Z in cases:

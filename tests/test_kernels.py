@@ -6,7 +6,7 @@ import pytest
 from gpbounds.bounds import bound_report
 from gpbounds.gp import TrainingSet
 from gpbounds.kernels import (ALL_KINDS, ISOTROPIC_KINDS, Kernel, KernelError,
-                              _grid_lipschitz, as_points, kernel_matrix,
+                              _grid_lipschitz, as_point, as_points, kernel_matrix,
                               kernel_vector, lipschitz_constant, make_kernel,
                               matern_half, neural_network, periodic,
                               polynomial, rational_quadratic,
@@ -108,11 +108,15 @@ def test_constructor_validation():
 
 
 def test_as_points_shapes():
-    assert as_points(1.0).shape == (1, 1)
-    assert as_points([1.0, 2.0, 3.0]).shape == (3, 1)
-    assert as_points([[1.0, 2.0]]).shape == (1, 2)
+    assert as_points(1.0).shape == (1,)
+    assert as_points([1.0, 2.0, 3.0]).shape == (3,)
+    assert np.array_equal(as_points([[1.0], [2.0]]), [1.0, 2.0])
+    for wide in ([[1.0, 2.0]], np.zeros((2, 2, 2))):
+        with pytest.raises(KernelError):
+            as_points(wide)
+    assert as_point(np.array([0.25])) == 0.25
     with pytest.raises(KernelError):
-        as_points(np.zeros((2, 2, 2)))
+        as_point([1.0, 2.0])
 
 
 # ---------------------------------------------------------- matrix structure
@@ -197,10 +201,20 @@ def test_lipschitz_degenerate_domain():
 
 def test_lipschitz_grid_vs_analytic_on_se():
     analytic = lipschitz_constant(squared_exponential(), (0.0, 3.0))
-    grid = _grid_lipschitz(squared_exponential(), np.array([[0.0, 3.0]]), 3.0)
+    grid = _grid_lipschitz(squared_exponential(), 0.0, 3.0)
     assert grid.method == "grid-estimate"
     assert grid.safety_factor == 1.05
     assert math.isclose(grid.value, 1.05 * analytic.value, rel_tol=2e-3)
+
+
+@pytest.mark.parametrize("domain", [(math.nan, 1.0), (0.0, math.nan),
+                                    (0.0, math.inf), (1.0, 0.0), (0.0, 1.0, 2.0)])
+@pytest.mark.parametrize("kind", ["rational-quadratic", "neural-network"])
+def test_lipschitz_rejects_a_bad_interval(kind, domain):
+    """An end that is not finite or an inverted interval raises, rather than
+    quoting a nan grid estimate."""
+    with pytest.raises(KernelError):
+        lipschitz_constant(make_kernel(kind), domain)
 
 
 def test_lipschitz_validity_sweep():

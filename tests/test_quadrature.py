@@ -152,11 +152,12 @@ def test_greedy_sizes_along_the_preset_grid(kernel, frozen):
 
 def test_import_leaves_adaptive_quadrature_unloaded():
     """The package needs neither scipy.integrate nor scipy.stats, which
-    would add about half a second to every start."""
+    would add about half a second to every start, nor scipy.spatial and
+    scipy.sparse, since points are scalars."""
     src = str(Path(gpbounds.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gpbounds; "
-            "print([m for m in ('scipy.integrate', 'scipy.stats') "
-            "if m in sys.modules])")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import gpbounds.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.stats', "
+            "'scipy.spatial', 'scipy.sparse') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code, src],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
