@@ -105,7 +105,7 @@ def two_point_bound(kernel: Kernel, tau1: float, tau2: float, delta: float,
     """
     if not kernel.isotropic:
         raise BoundError("two_point_bound needs an isotropic kernel")
-    if min(tau1, tau2, delta) < 0 or not noise_variance > 0:
+    if not (tau1 >= 0 and tau2 >= 0 and delta >= 0 and noise_variance > 0):
         raise BoundError("distances must be non-negative, noise positive")
     slack = 1e-9 * (1.0 + tau1 + tau2)
     if not (abs(tau1 - tau2) - slack <= delta <= tau1 + tau2 + slack):

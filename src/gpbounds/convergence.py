@@ -188,21 +188,18 @@ def check_theorem32(density: Density, x: float, schedule: RadiusSchedule,
                               "required %.3g at N=%d" % (c * float(failing) ** -gap, failing))
 
 
-def check_corollary33(dimension: int, schedule: RadiusSchedule) -> ConvergenceVerdict:
-    """Uniform-on-a-box criterion: a power schedule works iff alpha < 1/d.
+def check_corollary33(schedule: RadiusSchedule) -> ConvergenceVerdict:
+    """Uniform-on-an-interval criterion: a power schedule works iff alpha < 1.
 
-    The witness is epsilon = 1/d - alpha with the schedule's own coefficient.
-    The boundary alpha = 1/d fails because epsilon must be positive; no
+    The witness is epsilon = 1 - alpha with the schedule's own coefficient.
+    The boundary alpha = 1 fails because epsilon must be positive; no
     single failing N exists for an exponent violation, so none is reported.
     """
-    if dimension < 1 or int(dimension) != dimension:
-        raise DensityError("dimension must be a positive integer")
     _require_schedule(schedule)
-    gap = 1.0 / dimension - schedule.exponent
+    gap = 1.0 - schedule.exponent
     if gap > 0:
         return ConvergenceVerdict(True, c=schedule.coefficient, epsilon=gap)
-    return ConvergenceVerdict(False, reason="exponent %.3g >= 1/d = %.3g"
-                                            % (schedule.exponent, 1.0 / dimension))
+    return ConvergenceVerdict(False, reason="exponent %.3g >= 1" % schedule.exponent)
 
 
 def bernoulli_central_moment(p: float, k: int) -> float:

@@ -17,7 +17,7 @@ ball growth:            n, mean_count, min_count, expected_count
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -26,10 +26,9 @@ from . import convergence as conv
 from .bounds import RadiusSchedule, bound_report, radius_at
 from .curves import monte_carlo_curve
 from .gp import TrainingSet
-from .kernels import (ALL_KINDS, KERNEL_PARAMS, MATERN_HALF, NEURAL_NETWORK,
-                      PERIODIC, POLYNOMIAL, RATIONAL_QUADRATIC,
-                      SQUARED_EXPONENTIAL, Kernel, KernelError,
-                      lipschitz_constant, make_kernel)
+from .kernels import (MATERN_HALF, NEURAL_NETWORK, PERIODIC, POLYNOMIAL,
+                      RATIONAL_QUADRATIC, SQUARED_EXPONENTIAL, Kernel,
+                      KernelError, lipschitz_constant)
 
 VARIANCE_UNIFORM = "variance-uniform"
 VARIANCE_VANISHING = "variance-vanishing"
@@ -54,6 +53,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings.  ``__post_init__`` checks every field, and
+    ``dataclasses.replace`` runs it again, so no invalid config exists."""
+
     experiment: str = ""
     kernel: str = ""
     lengthscale: float = 1.0
@@ -83,30 +85,82 @@ class ExperimentConfig:
     subtract_noise: bool = False
     quad_tol: float = 1e-9
 
+    def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ConfigError(f"config key 'experiment': must be one of {EXPERIMENTS}")
+        for key, kind in _FIELD_TYPES.items():
+            value = getattr(self, key)
+            if kind in (float, float | None) and value is not None and not math.isfinite(value):
+                raise ConfigError(f"config key {key!r}: must be finite")
+        for key in ("noise_variance", "schedule_c", "quad_tol"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"config key {key!r}: must be positive")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("config key 'seed': must be an unsigned 64-bit integer")
+        if self.n_min < 1 or self.n_max < self.n_min:
+            raise ConfigError("config keys 'n_min'/'n_max': need 1 <= n_min <= n_max")
+        if self.points_per_decade < 1:
+            raise ConfigError("config key 'points_per_decade': must be >= 1")
+        if self.schedule_alpha is not None and not 0.0 < self.schedule_alpha <= 1.0:
+            raise ConfigError("config key 'schedule_alpha': must lie in (0, 1]")
+        if not self.domain_lo < self.domain_hi:
+            raise ConfigError("config keys 'domain_lo'/'domain_hi': need lo < hi")
+        if self.density not in conv.DENSITY_KINDS:
+            raise ConfigError(f"config key 'density': must be one of {conv.DENSITY_KINDS}")
+
+        if self.experiment in (VARIANCE_UNIFORM, VARIANCE_VANISHING):
+            config_kernel(self)
+            if self.datasets < 1:
+                raise ConfigError("config key 'datasets': must be >= 1")
+            if not self.domain_lo <= self.test_point <= self.domain_hi:
+                raise ConfigError("config key 'test_point': must lie in the domain")
+            if self.experiment == VARIANCE_VANISHING:
+                center = _config_density(self).center
+                if self.test_point != center:
+                    raise ConfigError(f"variance-vanishing needs test_point at the domain "
+                                      f"midpoint {center!r} (the density vanishes there)")
+        elif self.experiment == LEARNING_CURVE:
+            kernel = config_kernel(self)
+            if not kernel.isotropic:
+                raise ConfigError("learning-curve experiments need an isotropic kernel")
+            if self.datasets < 2:
+                raise ConfigError("config key 'datasets': must be >= 2")
+            if self.test_points < 1:
+                raise ConfigError("config key 'test_points': must be >= 1")
+        else:
+            if self.schedule_alpha is None:
+                raise ConfigError("config key 'schedule_alpha': required for "
+                                  "convergence checks")
+            if not 0.0 < self.witness_epsilon < 1.0:
+                raise ConfigError("config key 'witness_epsilon': must lie in (0, 1)")
+            if not self.witness_c > 0:
+                raise ConfigError("config key 'witness_c': must be positive")
+            if self.trials < 1:
+                raise ConfigError("config key 'trials': must be >= 1")
+
 
 _FIELD_TYPES = get_type_hints(ExperimentConfig)
 
 
 def _parse_value(key: str, raw: str):
     kind = _FIELD_TYPES[key]
+    if kind == float | None:
+        kind = float
     try:
-        if kind is int:
-            return int(raw)
         if kind is bool:
             if raw.lower() in ("true", "yes", "1", "on"):
                 return True
             if raw.lower() in ("false", "no", "0", "off"):
                 return False
             raise ValueError(raw)
-        if kind in (float, float | None):
-            return float(raw)
-        return raw
+        return kind(raw)
     except ValueError:
-        raise ConfigError(f"config key {key!r}: cannot parse {raw!r} as {kind}") from None
+        raise ConfigError(f"config key {key!r}: cannot parse {raw!r} "
+                          f"as {kind.__name__}") from None
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse flat key = value lines into a validated config."""
+    """Parse flat key = value lines into a config."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -120,7 +174,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
         values[key] = _parse_value(key, raw)
-    return validate_config(ExperimentConfig(**values))
+    return ExperimentConfig(**values)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -145,76 +199,17 @@ _DEFAULT_ALPHA = {
 def resolved_schedule_alpha(cfg: ExperimentConfig) -> float:
     if cfg.schedule_alpha is not None:
         return cfg.schedule_alpha
-    table = _DEFAULT_ALPHA.get(cfg.experiment)
-    if table is None or cfg.kernel not in table:
-        raise ConfigError("schedule_alpha is required for this experiment")
-    return table[cfg.kernel]
+    return _DEFAULT_ALPHA[cfg.experiment][cfg.kernel]
 
 
 def config_kernel(cfg: ExperimentConfig) -> Kernel:
-    if cfg.kernel not in ALL_KINDS:
-        raise ConfigError(f"config key 'kernel': unknown kind {cfg.kernel!r}")
-    params = {name: getattr(cfg, name) for name in KERNEL_PARAMS[cfg.kernel]}
+    """The config's kernel; ``Kernel`` rejects an unknown kind and any
+    parameter the kind ignores that is set away from its default."""
     try:
-        return make_kernel(cfg.kernel, **params)
+        return Kernel(cfg.kernel, **{f.name: getattr(cfg, f.name)
+                                     for f in fields(Kernel)[1:]})
     except KernelError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(f"config key 'experiment': must be one of {EXPERIMENTS}")
-    for key, kind in _FIELD_TYPES.items():
-        value = getattr(cfg, key)
-        if kind in (float, float | None) and value is not None and not math.isfinite(value):
-            raise ConfigError(f"config key {key!r}: must be finite")
-    for key in ("noise_variance", "schedule_c", "quad_tol"):
-        if not getattr(cfg, key) > 0:
-            raise ConfigError(f"config key {key!r}: must be positive")
-    if not 0 <= cfg.seed < 2 ** 64:
-        raise ConfigError("config key 'seed': must be an unsigned 64-bit integer")
-    if cfg.n_min < 1 or cfg.n_max < cfg.n_min:
-        raise ConfigError("config keys 'n_min'/'n_max': need 1 <= n_min <= n_max")
-    if cfg.points_per_decade < 1:
-        raise ConfigError("config key 'points_per_decade': must be >= 1")
-    if cfg.schedule_alpha is not None and not 0.0 < cfg.schedule_alpha <= 1.0:
-        raise ConfigError("config key 'schedule_alpha': must lie in (0, 1]")
-    if not cfg.domain_lo < cfg.domain_hi:
-        raise ConfigError("config keys 'domain_lo'/'domain_hi': need lo < hi")
-    if cfg.density not in conv.DENSITY_KINDS:
-        raise ConfigError(f"config key 'density': must be one of {conv.DENSITY_KINDS}")
-
-    if cfg.experiment in (VARIANCE_UNIFORM, VARIANCE_VANISHING):
-        config_kernel(cfg)
-        resolved_schedule_alpha(cfg)
-        if cfg.datasets < 1:
-            raise ConfigError("config key 'datasets': must be >= 1")
-        if not cfg.domain_lo <= cfg.test_point <= cfg.domain_hi:
-            raise ConfigError("config key 'test_point': must lie in the domain")
-        if cfg.experiment == VARIANCE_VANISHING:
-            center = _config_density(cfg).center
-            if cfg.test_point != center:
-                raise ConfigError(f"variance-vanishing needs test_point at the domain "
-                                  f"midpoint {center!r} (the density vanishes there)")
-    elif cfg.experiment == LEARNING_CURVE:
-        kernel = config_kernel(cfg)
-        if not kernel.isotropic:
-            raise ConfigError("learning-curve experiments need an isotropic kernel")
-        if cfg.datasets < 2:
-            raise ConfigError("config key 'datasets': must be >= 2")
-        if cfg.test_points < 1:
-            raise ConfigError("config key 'test_points': must be >= 1")
-    else:
-        if cfg.schedule_alpha is None:
-            raise ConfigError("config key 'schedule_alpha': required for "
-                              "convergence checks")
-        if not 0.0 < cfg.witness_epsilon < 1.0:
-            raise ConfigError("config key 'witness_epsilon': must lie in (0, 1)")
-        if not cfg.witness_c > 0:
-            raise ConfigError("config key 'witness_c': must be positive")
-        if cfg.trials < 1:
-            raise ConfigError("config key 'trials': must be >= 1")
-    return cfg
 
 
 def log_grid(n_min: int, n_max: int, per_decade: int) -> list[int]:
@@ -255,7 +250,6 @@ def run_variance_experiment(cfg: ExperimentConfig, out_path) -> list[tuple]:
     kernels without an isotropic non-increasing form, mirroring the
     general-kernel figures.
     """
-    cfg = validate_config(cfg)
     if cfg.experiment not in _EXPERIMENT_TAGS:
         raise ConfigError("run_variance_experiment needs a variance experiment")
     tag = _EXPERIMENT_TAGS[cfg.experiment]
@@ -286,7 +280,6 @@ def run_variance_experiment(cfg: ExperimentConfig, out_path) -> list[tuple]:
 
 def run_learning_curve(cfg: ExperimentConfig, out_path):
     """Monte-Carlo learning curve plus the three bounds over the N grid."""
-    cfg = validate_config(cfg)
     if cfg.experiment != LEARNING_CURVE:
         raise ConfigError("run_learning_curve needs experiment = learning-curve")
     kernel = config_kernel(cfg)
@@ -303,7 +296,6 @@ def run_learning_curve(cfg: ExperimentConfig, out_path):
 
 def run_convergence_check(cfg: ExperimentConfig, out_path) -> conv.ConvergenceVerdict:
     """Schedule/density verdict plus a sampled ball-growth table."""
-    cfg = validate_config(cfg)
     if cfg.experiment != CONVERGENCE_CHECK:
         raise ConfigError("run_convergence_check needs experiment = convergence-check")
     density = _config_density(cfg)
@@ -371,7 +363,7 @@ PRESETS: dict[str, dict] = {
 def preset_config(name: str) -> ExperimentConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; see 'presets list'")
-    return validate_config(ExperimentConfig(**PRESETS[name]))
+    return ExperimentConfig(**PRESETS[name])
 
 
 def apply_overrides(cfg: ExperimentConfig, seed: int | None = None,
@@ -380,7 +372,7 @@ def apply_overrides(cfg: ExperimentConfig, seed: int | None = None,
         cfg = replace(cfg, seed=seed)
     if n_max is not None:
         cfg = replace(cfg, n_max=n_max)
-    return validate_config(cfg)
+    return cfg
 
 
 _PLOT_STYLES = {

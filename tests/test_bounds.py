@@ -178,20 +178,24 @@ SE = squared_exponential()
 NAN = math.nan
 
 
-@pytest.mark.parametrize("call", [
-    lambda: lipschitz_bound(SE, 0.6, 1.0, 3, NAN, 0.1),
-    lambda: lipschitz_bound(SE, NAN, 1.0, 3, 0.1, 0.1),
-    lambda: lipschitz_bound(SE, math.inf, 1.0, 3, 0.0, 0.1),
-    lambda: isotropic_bound(SE, 3, NAN, 0.1),
-    lambda: one_point_bound(SE, NAN, 0.1),
-    lambda: one_point_bound(periodic(), math.inf, 0.1),
+@pytest.mark.parametrize("call, message", [
+    (lambda: lipschitz_bound(SE, 0.6, 1.0, 3, NAN, 0.1), "non-negative and finite"),
+    (lambda: lipschitz_bound(SE, NAN, 1.0, 3, 0.1, 0.1), "non-negative and finite"),
+    (lambda: lipschitz_bound(SE, math.inf, 1.0, 3, 0.0, 0.1), "non-negative and finite"),
+    (lambda: isotropic_bound(SE, 3, NAN, 0.1), "radius >= 0"),
+    (lambda: one_point_bound(SE, NAN, 0.1), "finite tau >= 0"),
+    (lambda: one_point_bound(periodic(), math.inf, 0.1), "finite tau >= 0"),
+    (lambda: two_point_bound(SE, 0.1, NAN, 0.2, 0.1), "non-negative"),
+    (lambda: two_point_bound(SE, 0.1, 0.2, NAN, 0.1), "non-negative"),
 ], ids=["lipschitz-radius", "lipschitz-constant", "lipschitz-infinite",
-        "isotropic-radius", "one-point-tau", "one-point-infinite-tau"])
-def test_non_finite_arguments_are_rejected(call):
-    """A nan radius, tau or Lipschitz constant raises instead of returning a
-    nan "upper bound"; so do an infinite Lipschitz constant, whose product
-    with a zero radius is nan, and an infinite tau, where sin is nan."""
-    with pytest.raises(BoundError):
+        "isotropic-radius", "one-point-tau", "one-point-infinite-tau",
+        "two-point-tau2", "two-point-delta"])
+def test_non_finite_arguments_are_rejected(call, message):
+    """A nan radius, tau, distance or Lipschitz constant raises instead of
+    returning a nan "upper bound"; so do an infinite Lipschitz constant, whose
+    product with a zero radius is nan, and an infinite tau, where sin is nan.
+    A nan distance is named as such, not as a triangle-inequality violation."""
+    with pytest.raises(BoundError, match=message):
         call()
 
 

@@ -278,13 +278,12 @@ def test_checker_input_validation():
 
 
 def test_dimension_exponent_rule():
-    ok = check_corollary33(1, RadiusSchedule(1.0, 0.5))
+    ok = check_corollary33(RadiusSchedule(1.0, 0.5))
     assert ok.satisfied and ok.epsilon == pytest.approx(0.5)
-    assert not check_corollary33(1, RadiusSchedule(1.0, 1.0)).satisfied
-    v = check_corollary33(3, RadiusSchedule(1.0, 1.0 / 3.0))
+    v = check_corollary33(RadiusSchedule(1.0, 1.0))
     assert not v.satisfied and v.first_failing_n is None
     with pytest.raises(DensityError):
-        check_corollary33(0, RadiusSchedule(1.0, 0.5))
+        check_corollary33(lambda n: 0.25)
 
 
 def test_exponent_rule_agrees_with_full_scan_on_uniform_data():
@@ -292,7 +291,7 @@ def test_exponent_rule_agrees_with_full_scan_on_uniform_data():
     reusing the witnesses the exponent rule reports."""
     d = uniform(0.5, 1.5)
     for alpha in (0.25, 0.5, 0.9):
-        cor = check_corollary33(1, RadiusSchedule(1.0, alpha))
+        cor = check_corollary33(RadiusSchedule(1.0, alpha))
         assert cor.satisfied
         thm = check_theorem32(d, 1.0, RadiusSchedule(1.0, alpha),
                               min(cor.c, 1.0), cor.epsilon, (1, 3000))

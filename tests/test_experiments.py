@@ -14,8 +14,8 @@ from gpbounds.experiments import (EXPERIMENTS, ConfigError, ExperimentConfig,
                                   PRESETS, format_value, load_config, log_grid,
                                   parse_config_text, plot_script,
                                   preset_config, run_convergence_check,
-                                  run_learning_curve, run_variance_experiment,
-                                  validate_config)
+                                  run_learning_curve, run_variance_experiment)
+from gpbounds.kernels import Kernel
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -58,11 +58,15 @@ def test_parse_rejects_unknown_and_duplicate_keys():
 
 
 def test_parse_type_errors_name_the_key():
-    with pytest.raises(ConfigError, match="n_max"):
+    with pytest.raises(ConfigError, match="'n_max': cannot parse 'many' as int$"):
         parse_config_text(GOOD_VARIANCE.replace("n_max = 20", "n_max = many"))
-    with pytest.raises(ConfigError, match="degree"):
+    with pytest.raises(ConfigError, match="'degree': cannot parse '2.5' as int$"):
         parse_config_text(GOOD_VARIANCE + "degree = 2.5\n")
-    with pytest.raises(ConfigError, match="subtract_noise"):
+    with pytest.raises(ConfigError, match="'lengthscale': cannot parse 'wide' as float$"):
+        parse_config_text(GOOD_VARIANCE + "lengthscale = wide\n")
+    with pytest.raises(ConfigError, match="'schedule_alpha': cannot parse 'x' as float$"):
+        parse_config_text(GOOD_VARIANCE + "schedule_alpha = x\n")
+    with pytest.raises(ConfigError, match="'subtract_noise': cannot parse 'maybe' as bool$"):
         parse_config_text("experiment = learning-curve\n"
                           "kernel = squared-exponential\n"
                           "subtract_noise = maybe\n")
@@ -110,7 +114,7 @@ def test_readme_library_example_runs():
 # --------------------------------------------------------------- validation
 
 def base(**kw):
-    return validate_config(replace(parse_config_text(GOOD_VARIANCE), **kw))
+    return replace(parse_config_text(GOOD_VARIANCE), **kw)
 
 
 def test_validation_rejects_bad_fields():
@@ -131,6 +135,39 @@ def test_validation_rejects_bad_fields():
     # only the proved general bound is offered, so bound_form is no key
     with pytest.raises(ConfigError, match="line 10: unknown config key 'bound_form'"):
         parse_config_text(GOOD_VARIANCE + "bound_form = printed\n")
+
+
+def test_config_is_checked_at_construction():
+    with pytest.raises(ConfigError, match="n_min"):
+        replace(preset_config("variance-uniform-se"), n_min=5000)
+    with pytest.raises(ConfigError, match="experiment"):
+        ExperimentConfig(experiment="bogus")
+
+
+@pytest.mark.parametrize("kernel, key, value", [
+    ("squared-exponential", "period", "3"),
+    ("polynomial", "lengthscale", "0.3"),
+], ids=["se-period", "polynomial-lengthscale"])
+def test_parameter_the_kind_ignores_is_rejected(tmp_path, kernel, key, value):
+    text = f"experiment = variance-uniform\nkernel = {kernel}\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=f"{kernel} takes no parameter '{key}'"):
+        parse_config_text(text)
+    cfg = tmp_path / "ignored.cfg"
+    cfg.write_text(text)
+    res = CliRunner().invoke(main, ["variance", "--config", str(cfg),
+                                    "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 2, res.output
+    assert f"takes no parameter '{key}'" in res.output
+
+
+def test_config_kernel_fields_mirror_the_kernel_record():
+    # config_kernel hands these fields to Kernel by name
+    config = {f.name: f for f in fields(ExperimentConfig)}
+    config_types = get_type_hints(ExperimentConfig)
+    kernel_types = get_type_hints(Kernel)
+    for f in fields(Kernel)[1:]:
+        assert config_types[f.name] is kernel_types[f.name]
+        assert config[f.name].default == f.default
 
 
 def test_validation_rejects_non_finite_floats():
@@ -230,7 +267,7 @@ def test_preset_fidelity():
 
 def small_variance_cfg(**kw):
     cfg = replace(preset_config("variance-uniform-se"), n_max=25, datasets=3)
-    return validate_config(replace(cfg, **kw))
+    return replace(cfg, **kw)
 
 
 def test_variance_runner_bounds_dominate_exact(tmp_path):
@@ -248,7 +285,7 @@ def test_variance_runner_bounds_dominate_exact(tmp_path):
 def test_variance_runner_general_kernel_has_nan_ball_column(tmp_path):
     cfg = replace(small_variance_cfg(kernel="neural-network"), n_max=10)
     out = tmp_path / "nn.csv"
-    rows = run_variance_experiment(validate_config(cfg), out)
+    rows = run_variance_experiment(cfg, out)
     assert all(math.isnan(r[2]) for r in rows)
     assert "nan" in out.read_text()
     assert all(r[3] >= r[1] - 1e-10 for r in rows)
@@ -277,7 +314,7 @@ def test_learning_curve_runner(tmp_path):
     cfg = replace(preset_config("learning-curve-se"), n_max=30, datasets=3,
                   test_points=10)
     out = tmp_path / "curve.csv"
-    table = run_learning_curve(validate_config(cfg), out)
+    table = run_learning_curve(cfg, out)
     lines = out.read_text().splitlines()
     assert lines[0] == "idx,y_exact,y_bound,yE1,yE2"
     first = lines[1].split(",")
@@ -290,8 +327,8 @@ def test_learning_curve_subtract_noise_shifts_rows(tmp_path):
     cfg = replace(preset_config("learning-curve-se"), n_max=5, datasets=3,
                   test_points=8)
     raw, shifted = tmp_path / "raw.csv", tmp_path / "shift.csv"
-    run_learning_curve(validate_config(cfg), raw)
-    run_learning_curve(validate_config(replace(cfg, subtract_noise=True)), shifted)
+    run_learning_curve(cfg, raw)
+    run_learning_curve(replace(cfg, subtract_noise=True), shifted)
     for a, b in zip(raw.read_text().splitlines()[1:],
                     shifted.read_text().splitlines()[1:]):
         av, bv = a.split(","), b.split(",")
@@ -303,7 +340,7 @@ def test_learning_curve_subtract_noise_shifts_rows(tmp_path):
 def test_convergence_runner(tmp_path):
     cfg = replace(preset_config("convergence-uniform"), n_max=500, trials=10)
     out = tmp_path / "growth.csv"
-    verdict = run_convergence_check(validate_config(cfg), out)
+    verdict = run_convergence_check(cfg, out)
     assert verdict.satisfied
     lines = out.read_text().splitlines()
     assert lines[0] == "n,mean_count,min_count,expected_count"
