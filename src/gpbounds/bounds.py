@@ -105,8 +105,10 @@ def two_point_bound(kernel: Kernel, tau1: float, tau2: float, delta: float,
     """
     if not kernel.isotropic:
         raise BoundError("two_point_bound needs an isotropic kernel")
-    if not (tau1 >= 0 and tau2 >= 0 and delta >= 0 and noise_variance > 0):
-        raise BoundError("distances must be non-negative, noise positive")
+    if not all(0 <= t < math.inf for t in (tau1, tau2, delta)):
+        raise BoundError("tau1, tau2 and delta must be finite and non-negative")
+    if not noise_variance > 0:
+        raise BoundError("noise_variance must be positive")
     slack = 1e-9 * (1.0 + tau1 + tau2)
     if not (abs(tau1 - tau2) - slack <= delta <= tau1 + tau2 + slack):
         raise BoundError("delta violates the triangle inequality for (tau1, tau2)")

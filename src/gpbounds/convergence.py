@@ -63,8 +63,10 @@ class Density:
             out = np.where(inside, np.abs(arr - self.center) / (w * w), 0.0)
         return float(out) if out.ndim == 0 else out
 
-    def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw iid points by inverting the closed-form CDF."""
+    def sample(self, size: int, rng) -> np.ndarray:
+        """Draw iid points by inverting the closed-form CDF.  ``rng`` is a
+        Generator or a seed for one, such as a runner's derived seed list."""
+        rng = np.random.default_rng(rng)
         if self.kind == UNIFORM:
             return rng.uniform(*self.support, size)
         u = rng.random(size) - 0.5
@@ -286,8 +288,7 @@ def empirical_ball_growth(density: Density, x: float, schedule: RadiusSchedule,
         expected = n * ball_probability(density, x, rho)
         counts = np.empty(trials, dtype=int)
         for t in range(trials):
-            rng = np.random.default_rng([seed, n, t])
-            pts = density.sample(n, rng)
+            pts = density.sample(n, [seed, n, t])
             counts[t] = int(np.sum(np.abs(pts - x) <= rho))
         rows.append(GrowthRow(n, float(np.mean(counts)), int(np.min(counts)), expected))
     return rows

@@ -128,6 +128,12 @@ class ExperimentConfig:
             if self.test_points < 1:
                 raise ConfigError("config key 'test_points': must be >= 1")
         else:
+            if self.kernel:
+                raise ConfigError("config key 'kernel': convergence checks take no kernel")
+            for f in fields(Kernel)[1:]:
+                if getattr(self, f.name) != f.default:
+                    raise ConfigError(f"config key {f.name!r}: convergence checks "
+                                      f"take no kernel parameter")
             if self.schedule_alpha is None:
                 raise ConfigError("config key 'schedule_alpha': required for "
                                   "convergence checks")
@@ -264,8 +270,8 @@ def run_variance_experiment(cfg: ExperimentConfig, out_path) -> list[tuple]:
         rho = radius_at(schedule, n, kernel, x, lipexpand.value)
         acc_exact = acc_gen = acc_iso = 0.0
         for i in range(cfg.datasets):
-            rng = np.random.default_rng([cfg.seed, tag, n, i])
-            train = TrainingSet(density.sample(n, rng), cfg.noise_variance)
+            train = TrainingSet(density.sample(n, [cfg.seed, tag, n, i]),
+                                cfg.noise_variance)
             rep = bound_report(train, kernel, x, rho, lipexpand.value)
             acc_exact += rep.exact
             acc_gen += rep.lipschitz

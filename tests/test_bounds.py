@@ -187,14 +187,17 @@ NAN = math.nan
     (lambda: one_point_bound(periodic(), math.inf, 0.1), "finite tau >= 0"),
     (lambda: two_point_bound(SE, 0.1, NAN, 0.2, 0.1), "non-negative"),
     (lambda: two_point_bound(SE, 0.1, 0.2, NAN, 0.1), "non-negative"),
+    (lambda: two_point_bound(SE, 0.1, math.inf, math.inf, 0.1),
+     "tau1, tau2 and delta must be finite"),
 ], ids=["lipschitz-radius", "lipschitz-constant", "lipschitz-infinite",
         "isotropic-radius", "one-point-tau", "one-point-infinite-tau",
-        "two-point-tau2", "two-point-delta"])
+        "two-point-tau2", "two-point-delta", "two-point-infinite"])
 def test_non_finite_arguments_are_rejected(call, message):
     """A nan radius, tau, distance or Lipschitz constant raises instead of
     returning a nan "upper bound"; so do an infinite Lipschitz constant, whose
     product with a zero radius is nan, and an infinite tau, where sin is nan.
-    A nan distance is named as such, not as a triangle-inequality violation."""
+    A nan or infinite distance is named as such, not as a triangle-inequality
+    violation."""
     with pytest.raises(BoundError, match=message):
         call()
 

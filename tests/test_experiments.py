@@ -196,8 +196,8 @@ def test_validation_vanishing_needs_centered_test_point():
 
 def test_density_key_is_checked_for_every_experiment():
     for experiment in EXPERIMENTS:
-        text = (f"experiment = {experiment}\nkernel = squared-exponential\n"
-                "schedule_alpha = 0.5\n")
+        kernel = "" if experiment == "convergence-check" else "squared-exponential"
+        text = f"experiment = {experiment}\nkernel = {kernel}\nschedule_alpha = 0.5\n"
         parse_config_text(text)
         with pytest.raises(ConfigError, match="'density'"):
             parse_config_text(text + "density = bogus\n")
@@ -206,6 +206,23 @@ def test_density_key_is_checked_for_every_experiment():
 def test_validation_learning_curve_needs_isotropy():
     with pytest.raises(ConfigError, match="isotropic"):
         base(experiment="learning-curve", kernel="polynomial")
+
+
+@pytest.mark.parametrize("key, value", [("kernel", "sinc"), ("period", "-3")] + [
+    (f.name, "2") for f in fields(Kernel)[1:]])
+def test_convergence_check_takes_no_kernel(tmp_path, key, value):
+    """A convergence check draws no posterior, so a kernel or any kernel
+    parameter away from its default is a mistake, not something to drop."""
+    text = f"experiment = convergence-check\nschedule_alpha = 0.5\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=f"'{key}': convergence checks take no kernel"):
+        parse_config_text(text)
+    cfg = tmp_path / "kernel.cfg"
+    cfg.write_text(text)
+    res = CliRunner().invoke(main, ["convergence", "--config", str(cfg),
+                                    "--out", str(tmp_path / "g.csv")])
+    assert res.exit_code == 2, res.output
+    assert "convergence checks take no kernel" in res.output
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_validation_convergence_needs_explicit_exponent():
@@ -444,6 +461,20 @@ def test_cli_numeric_error_exit_code(tmp_path):
                    "n_min = 40\nn_max = 40\n"
                    "datasets = 2\ntest_points = 2\n")
     res = CliRunner().invoke(main, ["learning-curve", "--config", str(cfg),
+                                    "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 3
+    assert "numerical error" in res.output
+
+
+def test_cli_variance_numeric_error_exit_code(tmp_path):
+    """Where Cholesky may fail, GPPosterior factors at construction, so a
+    variance run still stops with exit code 3."""
+    cfg = tmp_path / "singular.cfg"
+    cfg.write_text("experiment = variance-uniform\n"
+                   "kernel = squared-exponential\n"
+                   "noise_variance = 1e-300\n"
+                   "n_min = 40\nn_max = 40\ndatasets = 2\n")
+    res = CliRunner().invoke(main, ["variance", "--config", str(cfg),
                                     "--out", str(tmp_path / "x.csv")])
     assert res.exit_code == 3
     assert "numerical error" in res.output

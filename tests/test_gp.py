@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
+import gpbounds.gp as gp
 from gpbounds.gp import _GRAM_BLOCK, FactorizationError, GPPosterior, TrainingSet
 from gpbounds.kernels import (KernelError, _nn_gram, kernel_matrix, kernel_vector,
                               lipschitz_constant, make_kernel, matern_half,
@@ -265,3 +266,95 @@ def test_non_finite_query_is_rejected():
                     post.variance_batch([0.5, np.inf])
     post = GPPosterior(TrainingSet(X, 0.1), squared_exponential())
     assert post.variance_batch([0.5, np.inf])[1] == 1.0
+
+
+def test_bracket_contains_the_dense_value():
+    """The Gauss and Gauss-Radau values bracket the posterior variance of
+    the dense cho_solve oracle, to within 1e-14 of the prior (the largest
+    miss over three seeds was 1e-15), and lie within 1e-13 of each other.
+    Only Matern-1/2, whose Lanczos runs converge slowly, may leave the
+    bracket open; its variance then comes from the factor."""
+    rng = np.random.default_rng(31)
+    for kind in KINDS:
+        k = make_kernel(kind)
+        for n in (1, 2, 63, 64, 65, 300, 1220):
+            X = rng.uniform(0.5, 1.5, n)
+            x = float(rng.uniform(0.5, 1.5))
+            post = GPPosterior(TrainingSet(X, 0.1), k)
+            k_x, prior = kernel_vector(k, X, x), k.prior_variance(x)
+            A = kernel_matrix(k, X) + 0.1 * np.eye(n)
+            oracle = prior - k_x @ cho_solve(cho_factor(A, lower=True), k_x)
+            bracket = post._bracket(k_x, prior)
+            if bracket is None:
+                assert kind == "matern-1/2", (kind, n)
+                assert post.variance(x) == post.variance_batch([x])[0], (kind, n)
+                continue
+            lo, hi = bracket
+            assert 0 < lo <= hi <= lo * (1 + 1e-13), (kind, n)
+            assert lo - 1e-14 * prior <= oracle <= hi + 1e-14 * prior, (kind, n)
+            assert post.variance(x) == 0.5 * (lo + hi), (kind, n)
+            assert "_cho" not in vars(post), (kind, n)
+
+
+def test_open_bracket_falls_back_to_the_dense_path(monkeypatch):
+    """A bracket still open after 16 Lanczos steps factors the buffer the
+    Gram was built in: the variance equals the dense path bit for bit, and
+    kernel_matrix runs once per Gram block and once for the query."""
+    rng = np.random.default_rng(32)
+    k = matern_half(lengthscale=0.05)
+    X = rng.uniform(0.0, 1.0, 300)
+    x = 0.5
+    dense = GPPosterior(TrainingSet(X, 0.1), k).variance_batch([x])[0]
+    assert GPPosterior(TrainingSet(X, 0.1), k)._bracket(
+        kernel_vector(k, X, x), k.prior_variance(x)) is None
+    shapes, products = [], []
+    dsymv = gp.dsymv
+
+    def spy_matrix(kernel, A, B=None):
+        out = kernel_matrix(kernel, A, B)
+        shapes.append(out.shape)
+        return out
+
+    def spy_dsymv(*args, **kwargs):
+        products.append(1)
+        return dsymv(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "kernel_matrix", spy_matrix)
+    monkeypatch.setattr(gp, "dsymv", spy_dsymv)
+    post = GPPosterior(TrainingSet(X, 0.1), k)
+    assert post.variance(x) == dense
+    blocks = [(300 - j, min(_GRAM_BLOCK, 300 - j)) for j in range(0, 300, _GRAM_BLOCK)]
+    assert shapes == blocks + [(300, 1)]
+    assert len(products) == gp._LANCZOS_STEPS
+    # once factored, the buffer holds L, so later queries use the factor too
+    assert post.variance(x) == dense
+    assert len(products) == gp._LANCZOS_STEPS
+
+
+def test_one_point_variance_runs_no_factorization(monkeypatch):
+    """On the bracket path variance neither calls variance_batch nor
+    factors; the factor is made on first use by variance_batch."""
+    rng = np.random.default_rng(33)
+    post = GPPosterior(TrainingSet(rng.uniform(0.0, 1.0, 200), 0.05),
+                       squared_exponential(lengthscale=0.3))
+
+    def no_batch(self, X):
+        raise AssertionError("variance_batch called")
+
+    monkeypatch.setattr(GPPosterior, "variance_batch", no_batch)
+    v = post.variance(0.4)
+    assert "_cho" not in vars(post)
+    monkeypatch.undo()
+    assert math.isclose(post.variance_batch([0.4])[0], v, rel_tol=1e-12)
+    assert "_cho" in vars(post)
+
+
+def test_construction_factors_where_cholesky_could_fail():
+    """Tiny noise leaves no proof that Cholesky succeeds, so the factor is
+    made, and its failure raised, at construction; preset-sized noise
+    defers it."""
+    X = np.linspace(0.5, 1.5, 40)
+    assert "_cho" in vars(GPPosterior(TrainingSet(X, 1e-12), squared_exponential()))
+    for kind in KINDS:
+        post = GPPosterior(TrainingSet(np.linspace(0.5, 1.5, 1220), 0.1), make_kernel(kind))
+        assert "_cho" not in vars(post), kind
