@@ -147,14 +147,16 @@ class Kernel:
 
 def _nn_gram(kernel: Kernel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """s2 (2/pi) arcsin(2 s_xz / sqrt((1 + 2 s_xx)(1 + 2 s_zz))), with
-    s_xz = sb + sw x z, computed in place in one (n, m) buffer."""
+    s_xz = sb + sw x z, computed in place in one buffer of the shape X and Z
+    broadcast to: (n, 1) against (m,) gives the Gram, (n,) against (n,) its
+    diagonal, entry for entry the same arithmetic."""
     sb, sw = kernel.bias_variance, kernel.weight_variance
-    s = np.multiply.outer(X, Z)
+    s = X * Z
     s *= sw
     s += sb
     s_xx = sb + sw * (X * X)
     s_zz = sb + sw * (Z * Z)
-    denom = np.multiply.outer(1.0 + 2.0 * s_xx, 1.0 + 2.0 * s_zz)
+    denom = (1.0 + 2.0 * s_xx) * (1.0 + 2.0 * s_zz)
     np.sqrt(denom, out=denom)
     s *= 2.0
     s /= denom
@@ -174,7 +176,18 @@ def kernel_matrix(kernel: Kernel, X, Z=None) -> np.ndarray:
     if kernel.kind == POLYNOMIAL:
         prod = np.multiply.outer(Xp, Zp)
         return kernel.signal_variance * (prod + kernel.offset) ** kernel.degree
-    return _nn_gram(kernel, Xp, Zp)
+    return _nn_gram(kernel, Xp[:, None], Zp)
+
+
+def kernel_diagonal(kernel: Kernel, X) -> np.ndarray:
+    """k(x, x) at each point of X, equal to ``np.diag(kernel_matrix(kernel,
+    X, X))`` bit for bit without forming the off-diagonal entries."""
+    Xp = as_points(X)
+    if kernel.isotropic:
+        return np.full(Xp.size, float(kernel.signal_variance))
+    if kernel.kind == POLYNOMIAL:
+        return kernel.signal_variance * (Xp * Xp + kernel.offset) ** kernel.degree
+    return _nn_gram(kernel, Xp, Xp)
 
 
 def kernel_vector(kernel: Kernel, X, x) -> np.ndarray:

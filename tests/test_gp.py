@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 import gpbounds.gp as gp
 from gpbounds.gp import _GRAM_BLOCK, FactorizationError, GPPosterior, TrainingSet
-from gpbounds.kernels import (KernelError, _nn_gram, kernel_matrix, kernel_vector,
-                              lipschitz_constant, make_kernel, matern_half,
-                              neural_network, squared_exponential)
+from gpbounds.kernels import (KERNEL_PARAMS, KernelError, _nn_gram, kernel_matrix,
+                              kernel_vector, lipschitz_constant, make_kernel,
+                              matern_half, neural_network, periodic,
+                              squared_exponential)
 
 KINDS = ("squared-exponential", "matern-1/2", "rational-quadratic",
          "periodic", "polynomial", "neural-network")
@@ -150,12 +152,13 @@ def test_batch_prior_is_each_points_prior_variance():
 
 
 def test_triangular_quadratic_form_matches_cho_solve_oracle():
-    """variance and variance_batch take k_x' A^{-1} k_x as |L^{-1} k_x|^2.
-    On preset-shaped data they stay within 1e-9 relative of the two-solve
-    form prior - k_x' cho_solve(k_x), the benchmark's CSV tolerance.  The
-    largest gap on this data is 3.4e-10 (4.2e-10 over five other seeds), for
-    the polynomial kernel at N = 1220, whose Gram has rank 4; every other
-    kind stays below 2e-11."""
+    """variance and variance_batch take k_x' A^{-1} k_x as |L^{-1} k_x|^2 on
+    the dense route (N = 1, 50, and Matern-1/2 at 1220) and from the pivot
+    features on the low-rank one.  On preset-shaped data both stay within
+    1e-9 relative of the two-solve form prior - k_x' cho_solve(k_x), the
+    benchmark's CSV tolerance.  The largest gap on this data is 1.9e-10
+    (2.7e-10 over five other seeds), for the polynomial kernel at N = 1220,
+    whose Gram has rank 4; every other kind stays below 2e-11."""
     rng = np.random.default_rng(27)
     xs = rng.uniform(0.5, 1.5, 200)
     for kind in KINDS:
@@ -196,11 +199,14 @@ def _zero_above_diagonal_blocks(L):
     return all(np.all(L[j:j + B, j + B:] == 0.0) for j in range(0, len(L), B))
 
 
-def test_blocked_factor_equals_the_dense_factor():
+def test_blocked_factor_equals_the_dense_factor(monkeypatch):
     """The factor built from the lower triangle, block by block, equals
     cho_factor of the full Gram bit for bit.  Above the diagonal blocks the
     buffer is never written and must stay exactly zero, since cho_factor's
-    finiteness check scans it."""
+    finiteness check scans it.  From N = _LOWRANK_MIN_N on, the smooth kinds
+    take the low-rank route by default, so the dense route is compared with
+    the threshold raised, and the factor the low-rank route makes for mean
+    on first use is compared too."""
     rng = np.random.default_rng(29)
     B = _GRAM_BLOCK
     xs = rng.uniform(0.5, 1.5, 50)
@@ -209,12 +215,16 @@ def test_blocked_factor_equals_the_dense_factor():
         for n in (1, 2, B - 1, B, B + 1, 2 * B + 1, 300):
             X = rng.uniform(0.5, 1.5, n)
             oracle = cho_factor(kernel_matrix(k, X) + 0.1 * np.eye(n), lower=True)
-            post = GPPosterior(TrainingSet(X, 0.1), k)
-            L = post._cho[0]
-            assert np.array_equal(np.tril(L), np.tril(oracle[0])), (kind, n)
-            assert _zero_above_diagonal_blocks(L), (kind, n)
             V = solve_triangular(oracle[0], kernel_matrix(k, X, xs), lower=True)
             priors = np.array([k.prior_variance(x) for x in xs])
+            lazy = GPPosterior(TrainingSet(X, 0.1), k)
+            with monkeypatch.context() as m:
+                m.setattr(gp, "_LOWRANK_MIN_N", math.inf)
+                post = GPPosterior(TrainingSet(X, 0.1), k)
+            assert post.rank is None, (kind, n)
+            for L in (post._cho[0], lazy._cho[0]):
+                assert np.array_equal(np.tril(L), np.tril(oracle[0])), (kind, n)
+                assert _zero_above_diagonal_blocks(L), (kind, n)
             assert np.array_equal(post.variance_batch(xs),
                                   priors - np.einsum("ij,ij->j", V, V)), (kind, n)
 
@@ -244,7 +254,7 @@ def test_in_place_nn_gram_equals_the_expression():
             ratio = _nn_ratio(k, X, Z)
             clipped |= bool(np.any(ratio > 1.0))
             oracle = k.signal_variance * (2.0 / np.pi) * np.arcsin(np.clip(ratio, -1.0, 1.0))
-            assert np.array_equal(_nn_gram(k, X, Z), oracle)
+            assert np.array_equal(_nn_gram(k, X[:, None], Z), oracle)
             assert np.array_equal(kernel_matrix(k, X, Z), oracle)
     assert clipped
 
@@ -268,93 +278,140 @@ def test_non_finite_query_is_rejected():
     assert post.variance_batch([0.5, np.inf])[1] == 1.0
 
 
-def test_bracket_contains_the_dense_value():
-    """The Gauss and Gauss-Radau values bracket the posterior variance of
-    the dense cho_solve oracle, to within 1e-14 of the prior (the largest
-    miss over three seeds was 1e-15), and lie within 1e-13 of each other.
-    Only Matern-1/2, whose Lanczos runs converge slowly, may leave the
-    bracket open; its variance then comes from the factor."""
+SMOOTH_KINDS = tuple(kind for kind in KINDS if kind != "matern-1/2")
+
+
+def _cho_solve_variance(kernel, X, noise, xs):
+    """prior - k_x' A^{-1} k_x by cho_solve on the full Gram."""
+    A = kernel_matrix(kernel, X) + noise * np.eye(X.size)
+    K_x = kernel_matrix(kernel, X, xs)
+    return (np.array([kernel.prior_variance(x) for x in xs])
+            - np.einsum("ij,ij->j", K_x, cho_solve(cho_factor(A, lower=True), K_x)))
+
+
+def test_low_rank_route_matches_the_dense_oracle():
+    """On the variance presets' shape ([0.5, 1.5], s = 0.1, default
+    parameters) and the learning curves' (l = 0.3 on [0, 1], s = 0.05), the
+    variance at 1 and at 200 query points stays within 1e-10 relative of a
+    dense cho_solve oracle on both sides of _LOWRANK_MIN_N.  The polynomial
+    kernel gets 1e-9: its Gram has rank 4, and against a 40-digit value from
+    its four exact features the dense oracle itself is off by up to 2.2e-10
+    at N = 2000, the low-rank route by 7.4e-11."""
     rng = np.random.default_rng(31)
-    for kind in KINDS:
-        k = make_kernel(kind)
-        for n in (1, 2, 63, 64, 65, 300, 1220):
-            X = rng.uniform(0.5, 1.5, n)
-            x = float(rng.uniform(0.5, 1.5))
-            post = GPPosterior(TrainingSet(X, 0.1), k)
-            k_x, prior = kernel_vector(k, X, x), k.prior_variance(x)
-            A = kernel_matrix(k, X) + 0.1 * np.eye(n)
-            oracle = prior - k_x @ cho_solve(cho_factor(A, lower=True), k_x)
-            bracket = post._bracket(k_x, prior)
-            if bracket is None:
-                assert kind == "matern-1/2", (kind, n)
-                assert post.variance(x) == post.variance_batch([x])[0], (kind, n)
-                continue
-            lo, hi = bracket
-            assert 0 < lo <= hi <= lo * (1 + 1e-13), (kind, n)
-            assert lo - 1e-14 * prior <= oracle <= hi + 1e-14 * prior, (kind, n)
-            assert post.variance(x) == 0.5 * (lo + hi), (kind, n)
-            assert "_cho" not in vars(post), (kind, n)
+    n_min = gp._LOWRANK_MIN_N
+    cases = [(make_kernel(kind), (0.5, 1.5), 0.1) for kind in SMOOTH_KINDS]
+    cases += [(make_kernel(kind, lengthscale=0.3), (0.0, 1.0), 0.05)
+              for kind in ("squared-exponential", "rational-quadratic", "periodic")]
+    for k, domain, noise in cases:
+        rtol = 1e-9 if k.kind == "polynomial" else 1e-10
+        for n in (n_min - 1, n_min, n_min + 1, 300, 1220, 2000):
+            X = rng.uniform(*domain, n)
+            xs = rng.uniform(*domain, 200)
+            post = GPPosterior(TrainingSet(X, noise), k)
+            oracle = _cho_solve_variance(k, X, noise, xs)
+            if n < n_min:
+                assert post.rank is None, (k, n)
+            if n >= 300:
+                assert post.rank is not None, (k, n)
+            assert np.allclose(post.variance_batch(xs), oracle, rtol=rtol, atol=0), (k, n)
+            assert math.isclose(post.variance(xs[0]), oracle[0], rel_tol=rtol), (k, n)
 
 
-def test_open_bracket_falls_back_to_the_dense_path(monkeypatch):
-    """A bracket still open after 16 Lanczos steps factors the buffer the
-    Gram was built in: the variance equals the dense path bit for bit, and
-    kernel_matrix runs once per Gram block and once for the query."""
+def test_periodic_above_the_rank_cap_takes_the_dense_route(monkeypatch):
+    """A periodic Gram (l = 0.3) at N = 200 needs more pivots than the cap
+    N // 4 allows.  The posterior then builds the Gram once, block by block,
+    and equals the dense route bit for bit."""
     rng = np.random.default_rng(32)
-    k = matern_half(lengthscale=0.05)
-    X = rng.uniform(0.0, 1.0, 300)
-    x = 0.5
-    dense = GPPosterior(TrainingSet(X, 0.1), k).variance_batch([x])[0]
-    assert GPPosterior(TrainingSet(X, 0.1), k)._bracket(
-        kernel_vector(k, X, x), k.prior_variance(x)) is None
-    shapes, products = [], []
-    dsymv = gp.dsymv
+    k = periodic(lengthscale=0.3)
+    n = 200
+    X = rng.uniform(0.0, 1.0, n)
+    xs = rng.uniform(0.0, 1.0, 20)
+    with monkeypatch.context() as m:
+        m.setattr(gp, "_LOWRANK_MIN_N", math.inf)
+        dense = GPPosterior(TrainingSet(X, 0.05), k)
+    shapes = []
 
     def spy_matrix(kernel, A, B=None):
         out = kernel_matrix(kernel, A, B)
         shapes.append(out.shape)
         return out
 
-    def spy_dsymv(*args, **kwargs):
-        products.append(1)
-        return dsymv(*args, **kwargs)
-
     monkeypatch.setattr(gp, "kernel_matrix", spy_matrix)
-    monkeypatch.setattr(gp, "dsymv", spy_dsymv)
-    post = GPPosterior(TrainingSet(X, 0.1), k)
-    assert post.variance(x) == dense
-    blocks = [(300 - j, min(_GRAM_BLOCK, 300 - j)) for j in range(0, 300, _GRAM_BLOCK)]
-    assert shapes == blocks + [(300, 1)]
-    assert len(products) == gp._LANCZOS_STEPS
-    # once factored, the buffer holds L, so later queries use the factor too
-    assert post.variance(x) == dense
-    assert len(products) == gp._LANCZOS_STEPS
+    post = GPPosterior(TrainingSet(X, 0.05), k)
+    assert post.rank is None
+    pivots = [(n, 1)] * (n // gp._RANK_CAP_DIVISOR)
+    blocks = [(min(_GRAM_BLOCK, n - j), n - j) for j in range(0, n, _GRAM_BLOCK)]
+    assert shapes == pivots + blocks
+    assert np.array_equal(post._cho[0], dense._cho[0])
+    assert np.array_equal(post.variance_batch(xs), dense.variance_batch(xs))
+    assert post.variance(xs[0]) == dense.variance(xs[0])
 
 
 def test_one_point_variance_runs_no_factorization(monkeypatch):
-    """On the bracket path variance neither calls variance_batch nor
-    factors; the factor is made on first use by variance_batch."""
+    """variance neither calls variance_batch, which the benchmark's tracer
+    also counts, nor factors anything: both routes factor at construction,
+    and only mean makes the dense factor on the low-rank route."""
     rng = np.random.default_rng(33)
-    post = GPPosterior(TrainingSet(rng.uniform(0.0, 1.0, 200), 0.05),
-                       squared_exponential(lengthscale=0.3))
+    X = rng.uniform(0.0, 1.0, 200)
+    posts = [GPPosterior(TrainingSet(X, 0.05, np.sin(X)), kernel)
+             for kernel in (squared_exponential(lengthscale=0.3),
+                            matern_half(lengthscale=0.3))]
+    assert [post.rank for post in posts] == [17, None]
 
-    def no_batch(self, X):
-        raise AssertionError("variance_batch called")
+    def fail(*args, **kwargs):
+        raise AssertionError("called")
 
-    monkeypatch.setattr(GPPosterior, "variance_batch", no_batch)
-    v = post.variance(0.4)
-    assert "_cho" not in vars(post)
-    monkeypatch.undo()
-    assert math.isclose(post.variance_batch([0.4])[0], v, rel_tol=1e-12)
-    assert "_cho" in vars(post)
+    with monkeypatch.context() as m:
+        m.setattr(GPPosterior, "variance_batch", fail)
+        m.setattr(gp, "cho_factor", fail)
+        values = [post.variance(0.4) for post in posts]
+    for post, v in zip(posts, values):
+        assert post.variance_batch([0.4])[0] == v
+    _, mean = dense_oracle(posts[0].kernel, X, np.sin(X), 0.05, 0.4)
+    assert math.isclose(posts[0].mean(0.4), mean, rel_tol=1e-10)
 
 
 def test_construction_factors_where_cholesky_could_fail():
-    """Tiny noise leaves no proof that Cholesky succeeds, so the factor is
-    made, and its failure raised, at construction; preset-sized noise
-    defers it."""
-    X = np.linspace(0.5, 1.5, 40)
-    assert "_cho" in vars(GPPosterior(TrainingSet(X, 1e-12), squared_exponential()))
-    for kind in KINDS:
-        post = GPPosterior(TrainingSet(np.linspace(0.5, 1.5, 1220), 0.1), make_kernel(kind))
-        assert "_cho" not in vars(post), kind
+    """Matern-1/2, and tiny noise, whose pivot residual is not negligible
+    against it, take the dense route, which factors at construction and so
+    raises FactorizationError there; preset-sized noise on a smooth kernel
+    takes the low-rank route."""
+    X = np.linspace(0.5, 1.5, 1220)
+    assert GPPosterior(TrainingSet(X, 0.1), matern_half()).rank is None
+    assert GPPosterior(TrainingSet(X, 1e-12), squared_exponential()).rank is None
+    assert GPPosterior(TrainingSet(X, 0.1), squared_exponential()).rank == 10
+    with pytest.raises(FactorizationError):
+        GPPosterior(TrainingSet(X, 1e-300), squared_exponential())
+    with pytest.raises(FactorizationError):
+        GPPosterior(TrainingSet([1.0, 1.0], 1e-300), squared_exponential())
+
+
+@st.composite
+def smooth_posteriors(draw):
+    """A smooth kernel with every parameter its kind reads drawn, noise, and
+    N in [_LOWRANK_MIN_N, 400] inputs on [0.5, 1.5] from a drawn seed."""
+    kind = draw(st.sampled_from(SMOOTH_KINDS))
+    params = {"signal_variance": draw(st.floats(0.25, 4.0))}
+    for name in KERNEL_PARAMS[kind]:
+        if name == "degree":
+            params[name] = draw(st.integers(1, 4))
+        elif name != "signal_variance":
+            params[name] = draw(st.floats(0.3, 2.0))
+    n = draw(st.integers(gp._LOWRANK_MIN_N, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return make_kernel(kind, **params), rng.uniform(0.5, 1.5, n), draw(st.floats(0.01, 0.5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=smooth_posteriors(), x=st.floats(0.5, 1.5))
+def test_low_rank_variance_is_dense_and_non_negative(case, x):
+    """Whichever route a smooth kernel takes, the variance is non-negative
+    and within 1e-10 relative of the dense cho_solve value; 1e-9 for the
+    polynomial kernel, whose oracle is the less accurate of the two (see
+    test_low_rank_route_matches_the_dense_oracle)."""
+    kernel, X, noise = case
+    v = GPPosterior(TrainingSet(X, noise), kernel).variance(x)
+    oracle = _cho_solve_variance(kernel, X, noise, [x])[0]
+    rtol = 1e-9 if kernel.kind == "polynomial" else 1e-10
+    assert v >= 0
+    assert abs(v - oracle) <= rtol * oracle

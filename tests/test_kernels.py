@@ -6,7 +6,8 @@ import pytest
 from gpbounds.bounds import bound_report
 from gpbounds.gp import TrainingSet
 from gpbounds.kernels import (ALL_KINDS, ISOTROPIC_KINDS, Kernel, KernelError,
-                              _grid_lipschitz, as_point, as_points, kernel_matrix,
+                              _grid_lipschitz, as_point, as_points, kernel_diagonal,
+                              kernel_matrix,
                               kernel_vector, lipschitz_constant, make_kernel,
                               matern_half, neural_network, periodic,
                               polynomial, rational_quadratic,
@@ -149,6 +150,25 @@ def test_kernel_vector_matches_matrix_column():
         assert v.shape == (9,)
         assert np.allclose(v, kernel_matrix(k, X, [0.4])[:, 0], rtol=0,
                            atol=0)
+
+
+def test_kernel_diagonal_is_the_gram_diagonal():
+    """kernel_diagonal equals the diagonal of the full Gram bit for bit for
+    all six kinds, with default and other parameters, including far-out
+    points, where the neural-network arcsine argument rounds to 1 and
+    passes through the clip."""
+    rng = np.random.default_rng(16)
+    kernels = all_kernels() + [
+        rational_quadratic(0.3, 2.5, alpha=0.7), periodic(0.4, 0.3, period=0.6),
+        polynomial(offset=0.3, degree=4, signal_variance=1.7),
+        neural_network(bias_variance=0.3, weight_variance=7.0, signal_variance=2.5)]
+    inputs = [rng.uniform(0.5, 1.5, 300), rng.uniform(-3.0, 3.0, 50),
+              rng.uniform(-1e9, 1e9, 40)]
+    for k in kernels:
+        for X in inputs:
+            assert np.array_equal(kernel_diagonal(k, X), np.diag(kernel_matrix(k, X, X)))
+    k = neural_network()
+    assert kernel_diagonal(k, [50.0])[0] == k(50.0, 50.0)
 
 
 def test_positive_semidefinite_sweep():
