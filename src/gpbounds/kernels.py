@@ -167,10 +167,44 @@ def _nn_gram(kernel: Kernel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return s
 
 
+# the separable periodic Gram pays 2 (n + m) sines and cosines and two n x m
+# products against n m sines, so it is used only when both sides have at
+# least this many points; one BLAS thread, n = 2000: one column 37 us direct
+# vs 60 us separable, four columns 138 vs 129 us
+_SEPARABLE_MIN = 4
+
+
+def _periodic_gram(kernel: Kernel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """The periodic Gram from per-point features: with a = pi x / p and
+    b = pi z / p, sin(a - b) = sin a cos b - cos a sin b.  Each input is
+    first reduced by fmod(x, p), which is exact and leaves sin^2 unchanged,
+    so the features keep full accuracy for inputs far from 0.  The two
+    products are the same pair with X and Z swapped, so k(X, Z) = k(Z, X)'
+    bit for bit, and the diagonal is exactly the signal variance."""
+    p, l = kernel.period, kernel.lengthscale
+
+    def features(V):
+        a = np.pi * np.fmod(V, p) / p
+        return np.sin(a), np.cos(a)
+
+    sin_x, cos_x = features(X)
+    sin_z, cos_z = features(Z)
+    s = np.multiply.outer(sin_x, cos_z)
+    s -= np.multiply.outer(cos_x, sin_z)
+    s *= s
+    s *= -2.0
+    s /= l * l
+    np.exp(s, out=s)
+    s *= kernel.signal_variance
+    return s
+
+
 def kernel_matrix(kernel: Kernel, X, Z=None) -> np.ndarray:
     """Cross-covariance matrix k(X, Z); Z defaults to X."""
     Xp = as_points(X)
     Zp = Xp if Z is None else as_points(Z)
+    if kernel.kind == PERIODIC and min(Xp.size, Zp.size) >= _SEPARABLE_MIN:
+        return _periodic_gram(kernel, Xp, Zp)
     if kernel.isotropic:
         return kernel.iso(np.abs(np.subtract.outer(Xp, Zp)))
     if kernel.kind == POLYNOMIAL:

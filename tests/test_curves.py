@@ -2,13 +2,15 @@ import math
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from gpbounds.curves import (CurveError, QuadratureError, e1_bound, e2_bound,
                              e_rho_bound, greedy_select_n, monte_carlo_curve,
                              segment_plan)
 from gpbounds.gp import GPPosterior, TrainingSet
-from gpbounds.kernels import polynomial, squared_exponential
+from gpbounds.kernels import (ISOTROPIC_KINDS, KERNEL_PARAMS, make_kernel,
+                              polynomial, squared_exponential)
 
 SE = squared_exponential(lengthscale=0.3)
 NOISE = 0.05
@@ -224,6 +226,36 @@ def test_monte_carlo_validation():
         monte_carlo_curve(SE, NOISE, [5, 5], 10, 4, seed=1)
     with pytest.raises(CurveError):
         monte_carlo_curve(SE, NOISE, [5], 10, 1, seed=1)
+
+
+@st.composite
+def isotropic_kernels(draw):
+    """One of the four isotropic kinds with every parameter it reads drawn.
+    The period is at least the unit interval: below about 1 the oscillating
+    integrands of e1 and e2 need more nodes than the rules' five levels
+    give, and the bounds raise QuadratureError (period 0.5, l = 0.3 at
+    N = 2 to 10) rather than return a value."""
+    kind = draw(st.sampled_from(ISOTROPIC_KINDS))
+    ranges = {"lengthscale": (0.1, 2.0), "signal_variance": (0.25, 4.0),
+              "alpha": (0.5, 5.0), "period": (1.0, 4.0)}
+    return make_kernel(kind, **{name: draw(st.floats(*ranges[name]))
+                                for name in KERNEL_PARAMS[kind]})
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel=isotropic_kernels(), n=st.integers(1, 30),
+       noise=st.floats(0.01, 0.5), seed=st.integers(0, 2 ** 32 - 1))
+def test_curve_bounds_lie_above_the_monte_carlo_curve(kernel, n, noise, seed):
+    """e1, e2 and e_rho each bound the learning curve from above: none is
+    below the Monte-Carlo estimate by more than three standard errors.  At
+    N = 1 all three equal the exact curve, so the margin there is the
+    Monte-Carlo noise alone; 20 datasets keep its standard error itself
+    from being too noisy to test against."""
+    row = monte_carlo_curve(kernel, noise, [n], 50, 20, seed=seed).rows[0]
+    floor = row.e_num - 3.0 * row.e_num_se
+    assert row.e1 >= floor, row
+    assert row.e2 >= floor, row
+    assert row.e_rho >= floor, row
 
 
 # --------------------------------------------------------------- quadrature

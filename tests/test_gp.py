@@ -222,7 +222,7 @@ def test_blocked_factor_equals_the_dense_factor(monkeypatch):
                 m.setattr(gp, "_LOWRANK_MIN_N", math.inf)
                 post = GPPosterior(TrainingSet(X, 0.1), k)
             assert post.rank is None, (kind, n)
-            for L in (post._cho[0], lazy._cho[0]):
+            for L in (post._cho, lazy._cho):
                 assert np.array_equal(np.tril(L), np.tril(oracle[0])), (kind, n)
                 assert _zero_above_diagonal_blocks(L), (kind, n)
             assert np.array_equal(post.variance_batch(xs),
@@ -342,7 +342,7 @@ def test_periodic_above_the_rank_cap_takes_the_dense_route(monkeypatch):
     pivots = [(n, 1)] * (n // gp._RANK_CAP_DIVISOR)
     blocks = [(min(_GRAM_BLOCK, n - j), n - j) for j in range(0, n, _GRAM_BLOCK)]
     assert shapes == pivots + blocks
-    assert np.array_equal(post._cho[0], dense._cho[0])
+    assert np.array_equal(post._cho, dense._cho)
     assert np.array_equal(post.variance_batch(xs), dense.variance_batch(xs))
     assert post.variance(xs[0]) == dense.variance(xs[0])
 
@@ -363,7 +363,7 @@ def test_one_point_variance_runs_no_factorization(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(GPPosterior, "variance_batch", fail)
-        m.setattr(gp, "cho_factor", fail)
+        m.setattr(gp, "dpotrf", fail)
         values = [post.variance(0.4) for post in posts]
     for post, v in zip(posts, values):
         assert post.variance_batch([0.4])[0] == v
@@ -384,6 +384,13 @@ def test_construction_factors_where_cholesky_could_fail():
         GPPosterior(TrainingSet(X, 1e-300), squared_exponential())
     with pytest.raises(FactorizationError):
         GPPosterior(TrainingSet([1.0, 1.0], 1e-300), squared_exponential())
+
+
+def test_factorization_error_names_n_and_the_failing_minor():
+    """The third point repeats the first, so with noise 1e-300 the leading
+    minor of order 3 is the first that is not positive definite."""
+    with pytest.raises(FactorizationError, match=r"N=3: the leading minor of order 3 "):
+        GPPosterior(TrainingSet([1.0, 0.5, 1.0], 1e-300), squared_exponential())
 
 
 @st.composite
