@@ -31,8 +31,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
-from .kernels import (MATERN_HALF, Kernel, as_point, as_points, kernel_diagonal,
-                      kernel_matrix, kernel_vector)
+from .kernels import (MATERN_HALF, Kernel, as_point, as_points, gram_columns,
+                      kernel_diagonal, kernel_matrix, kernel_vector)
 
 
 # columns of the Gram built per kernel_matrix call; 64 and 128 ran alike
@@ -227,12 +227,13 @@ def _pivoted_cholesky(kernel: Kernel, X: np.ndarray, s: float):
     d = kernel_diagonal(kernel, X)
     stop = _PIVOT_RTOL * d.max()
     Phi = np.empty((n // _RANK_CAP_DIVISOR, n))
+    column = gram_columns(kernel, X)
     pivots = []
     for m in range(len(Phi)):
         i = int(np.argmax(d))
         if d[i] <= stop:
             break
-        col = _checked(kernel_matrix(kernel, X, X[i]), "covariance matrix")[:, 0]
+        col = _checked(column(i), "covariance matrix")
         col -= Phi[:m, i] @ Phi[:m]
         col /= math.sqrt(d[i])
         Phi[m] = col

@@ -167,28 +167,22 @@ def _nn_gram(kernel: Kernel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return s
 
 
-# the separable periodic Gram pays 2 (n + m) sines and cosines and two n x m
-# products against n m sines, so it is used only when both sides have at
-# least this many points; one BLAS thread, n = 2000: one column 37 us direct
-# vs 60 us separable, four columns 138 vs 129 us
-_SEPARABLE_MIN = 4
+def _periodic_features(kernel: Kernel, V: np.ndarray):
+    """sin a and cos a with a = pi fmod(v, p) / p at each point.  The
+    reduction by fmod(v, p) is exact and leaves sin^2 unchanged, so the
+    features keep full accuracy for inputs far from 0."""
+    p = kernel.period
+    a = np.pi * np.fmod(V, p) / p
+    return np.sin(a), np.cos(a)
 
 
-def _periodic_gram(kernel: Kernel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """The periodic Gram from per-point features: with a = pi x / p and
-    b = pi z / p, sin(a - b) = sin a cos b - cos a sin b.  Each input is
-    first reduced by fmod(x, p), which is exact and leaves sin^2 unchanged,
-    so the features keep full accuracy for inputs far from 0.  The two
-    products are the same pair with X and Z swapped, so k(X, Z) = k(Z, X)'
-    bit for bit, and the diagonal is exactly the signal variance."""
-    p, l = kernel.period, kernel.lengthscale
-
-    def features(V):
-        a = np.pi * np.fmod(V, p) / p
-        return np.sin(a), np.cos(a)
-
-    sin_x, cos_x = features(X)
-    sin_z, cos_z = features(Z)
+def _periodic_gram(kernel: Kernel, fx, fz) -> np.ndarray:
+    """The periodic Gram from the features of X and Z: with a = pi x / p and
+    b = pi z / p, sin(a - b) = sin a cos b - cos a sin b.  The two products
+    are the same pair with X and Z swapped, so k(X, Z) = k(Z, X)' bit for
+    bit, and the diagonal is exactly the signal variance."""
+    (sin_x, cos_x), (sin_z, cos_z) = fx, fz
+    l = kernel.lengthscale
     s = np.multiply.outer(sin_x, cos_z)
     s -= np.multiply.outer(cos_x, sin_z)
     s *= s
@@ -203,8 +197,9 @@ def kernel_matrix(kernel: Kernel, X, Z=None) -> np.ndarray:
     """Cross-covariance matrix k(X, Z); Z defaults to X."""
     Xp = as_points(X)
     Zp = Xp if Z is None else as_points(Z)
-    if kernel.kind == PERIODIC and min(Xp.size, Zp.size) >= _SEPARABLE_MIN:
-        return _periodic_gram(kernel, Xp, Zp)
+    if kernel.kind == PERIODIC:
+        return _periodic_gram(kernel, _periodic_features(kernel, Xp),
+                              _periodic_features(kernel, Zp))
     if kernel.isotropic:
         return kernel.iso(np.abs(np.subtract.outer(Xp, Zp)))
     if kernel.kind == POLYNOMIAL:
@@ -227,6 +222,17 @@ def kernel_diagonal(kernel: Kernel, X) -> np.ndarray:
 def kernel_vector(kernel: Kernel, X, x) -> np.ndarray:
     """Covariances between the points X and a single point x, shape (n,)."""
     return kernel_matrix(kernel, X, as_point(x))[:, 0]
+
+
+def gram_columns(kernel: Kernel, X):
+    """A function j -> k(X, X[j]), shape (n,), equal bit for bit to
+    ``kernel_matrix(kernel, X, X[j])[:, 0]``.  For the periodic kind the
+    features of X are computed once, not once per column."""
+    Xp = as_points(X)
+    if kernel.kind != PERIODIC:
+        return lambda j: kernel_matrix(kernel, Xp, Xp[j])[:, 0]
+    sin_x, cos_x = fx = _periodic_features(kernel, Xp)
+    return lambda j: _periodic_gram(kernel, fx, (sin_x[j:j + 1], cos_x[j:j + 1]))[:, 0]
 
 
 def squared_exponential(lengthscale: float = 1.0, signal_variance: float = 1.0) -> Kernel:

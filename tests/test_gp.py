@@ -7,8 +7,8 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 import gpbounds.gp as gp
 from gpbounds.gp import _GRAM_BLOCK, FactorizationError, GPPosterior, TrainingSet
-from gpbounds.kernels import (KERNEL_PARAMS, KernelError, _nn_gram, kernel_matrix,
-                              kernel_vector, lipschitz_constant, make_kernel,
+from gpbounds.kernels import (KERNEL_PARAMS, KernelError, _nn_gram, gram_columns,
+                              kernel_matrix, kernel_vector, lipschitz_constant, make_kernel,
                               matern_half, neural_network, periodic,
                               squared_exponential)
 
@@ -212,7 +212,7 @@ def test_blocked_factor_equals_the_dense_factor(monkeypatch):
     xs = rng.uniform(0.5, 1.5, 50)
     for kind in KINDS:
         k = make_kernel(kind)
-        for n in (1, 2, B - 1, B, B + 1, 2 * B + 1, 300):
+        for n in (1, 2, B - 1, B, B + 1, B + 2, B + 3, 2 * B + 1, 300):
             X = rng.uniform(0.5, 1.5, n)
             oracle = cho_factor(kernel_matrix(k, X) + 0.1 * np.eye(n), lower=True)
             V = solve_triangular(oracle[0], kernel_matrix(k, X, xs), lower=True)
@@ -319,8 +319,8 @@ def test_low_rank_route_matches_the_dense_oracle():
 
 def test_periodic_above_the_rank_cap_takes_the_dense_route(monkeypatch):
     """A periodic Gram (l = 0.3) at N = 200 needs more pivots than the cap
-    N // 4 allows.  The posterior then builds the Gram once, block by block,
-    and equals the dense route bit for bit."""
+    N // 4 allows.  The posterior takes that many pivot columns, then builds
+    the Gram once, block by block, and equals the dense route bit for bit."""
     rng = np.random.default_rng(32)
     k = periodic(lengthscale=0.3)
     n = 200
@@ -336,7 +336,17 @@ def test_periodic_above_the_rank_cap_takes_the_dense_route(monkeypatch):
         shapes.append(out.shape)
         return out
 
+    def spy_columns(kernel, A):
+        column = gram_columns(kernel, A)
+
+        def spy(j):
+            out = column(j)
+            shapes.append((out.size, 1))
+            return out
+        return spy
+
     monkeypatch.setattr(gp, "kernel_matrix", spy_matrix)
+    monkeypatch.setattr(gp, "gram_columns", spy_columns)
     post = GPPosterior(TrainingSet(X, 0.05), k)
     assert post.rank is None
     pivots = [(n, 1)] * (n // gp._RANK_CAP_DIVISOR)

@@ -6,8 +6,8 @@ import pytest
 from gpbounds.bounds import bound_report
 from gpbounds.gp import TrainingSet
 from gpbounds.kernels import (ALL_KINDS, ISOTROPIC_KINDS, Kernel, KernelError,
-                              _grid_lipschitz, as_point, as_points, kernel_diagonal,
-                              kernel_matrix,
+                              _grid_lipschitz, as_point, as_points, gram_columns,
+                              kernel_diagonal, kernel_matrix,
                               kernel_vector, lipschitz_constant, make_kernel,
                               matern_half, neural_network, periodic,
                               polynomial, rational_quadratic,
@@ -190,6 +190,24 @@ def test_separable_periodic_gram_keeps_accuracy_far_from_zero():
             direct = k.iso(np.abs(np.subtract.outer(X, Z)))
             assert np.abs(K - direct).max() <= 1e-14 * k.signal_variance, (k, offset)
             assert np.array_equal(K, kernel_matrix(k, Z, X).T), (k, offset)
+
+
+def test_gram_blocks_equal_the_full_gram():
+    """Any block of a Gram, down to one column or one entry, equals the same
+    entries of the full Gram bit for bit, and so do the columns from
+    gram_columns: the blocked factor, the pivot columns of the low-rank route
+    and one-point queries all rely on it."""
+    rng = np.random.default_rng(18)
+    X = rng.uniform(-1.5, 1.5, 70)
+    for k in all_kernels():
+        K = kernel_matrix(k, X)
+        column = gram_columns(k, X)
+        for lo, hi in ((0, 1), (3, 5), (10, 13), (64, 70), (0, 70)):
+            assert np.array_equal(kernel_matrix(k, X, X[lo:hi]), K[:, lo:hi]), (k, lo, hi)
+            assert np.array_equal(kernel_matrix(k, X[lo:hi], X[:2]), K[lo:hi, :2]), (k, lo, hi)
+        for j in (0, 33, 69):
+            assert np.array_equal(kernel_vector(k, X, X[j]), K[:, j]), (k, j)
+            assert np.array_equal(column(j), K[:, j]), (k, j)
 
 
 def test_positive_semidefinite_sweep():
