@@ -142,13 +142,15 @@ class RadiusSchedule:
         return float(out) if out.ndim == 0 else out
 
 
-def radius_at(schedule: RadiusSchedule, n: int, kernel: Kernel, x,
-              lipschitz: float) -> float:
-    """min(c N^-alpha, k(x,x)/L); L = 0 means no clip applies."""
+def radius_at(schedule: RadiusSchedule, n, kernel: Kernel, x,
+              lipschitz: float):
+    """min(c N^-alpha, k(x,x)/L); L = 0 means no clip applies.  Like
+    ``RadiusSchedule.raw`` it takes a scalar N, returning a float, or an
+    array of N, returning an array; k(x,x) is evaluated once either way."""
     rho = schedule.raw(n)
     if lipschitz > 0:
-        rho = min(rho, kernel.prior_variance(x) / lipschitz)
-    return rho
+        rho = np.minimum(rho, kernel.prior_variance(x) / lipschitz)
+    return float(rho) if np.ndim(rho) == 0 else rho
 
 
 @dataclass(frozen=True)

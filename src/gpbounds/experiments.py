@@ -265,9 +265,10 @@ def run_variance_experiment(cfg: ExperimentConfig, out_path) -> list[tuple]:
     lipexpand = lipschitz_constant(kernel, (cfg.domain_lo, cfg.domain_hi))
     x = cfg.test_point
     has_iso = kernel.isotropic and kernel.decreasing
+    grid = log_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade)
+    radii = radius_at(schedule, grid, kernel, x, lipexpand.value).tolist()
     rows = []
-    for n in log_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade):
-        rho = radius_at(schedule, n, kernel, x, lipexpand.value)
+    for n, rho in zip(grid, radii):
         acc_exact = acc_gen = acc_iso = 0.0
         for i in range(cfg.datasets):
             train = TrainingSet(density.sample(n, [cfg.seed, tag, n, i]),

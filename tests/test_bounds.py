@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from gpbounds.bounds import (BoundError, RadiusSchedule, ball_count,
                              bound_report, isotropic_bound, lipschitz_bound,
                              one_point_bound, radius_at, two_point_bound)
+from gpbounds.experiments import (PRESETS, config_kernel, log_grid,
+                                  preset_config, resolved_schedule_alpha)
 from gpbounds.gp import GPPosterior, TrainingSet
 from gpbounds.kernels import (ALL_KINDS, KERNEL_PARAMS, lipschitz_constant,
                               make_kernel, matern_half, neural_network,
@@ -227,6 +229,26 @@ def test_radius_at_clips_to_prior_over_lipschitz():
     assert math.isclose(rho, 1.0 / L, rel_tol=1e-14)
     # L = 0 disables the clip
     assert radius_at(RadiusSchedule(100.0, 0.5), 1, k, 1.0, 0.0) == 100.0
+
+
+@pytest.mark.parametrize("preset", [p for p in PRESETS if p.startswith("variance")])
+def test_radius_at_over_a_grid_equals_the_scalar_calls(preset):
+    """The radii of a preset's whole N grid in one call equal the per-N
+    calls bit for bit, unclipped (L = 0), at the preset's L and clipped on
+    about half the grid."""
+    cfg = preset_config(preset)
+    kernel, x = config_kernel(cfg), cfg.test_point
+    schedule = RadiusSchedule(cfg.schedule_c, resolved_schedule_alpha(cfg))
+    grid = log_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade)
+    raw = schedule.raw(grid)
+    L = lipschitz_constant(kernel, (cfg.domain_lo, cfg.domain_hi)).value
+    halfway = kernel.prior_variance(x) / float(np.median(raw))
+    for lip in (0.0, L, halfway):
+        radii = radius_at(schedule, grid, kernel, x, lip)
+        scalar = [radius_at(schedule, n, kernel, x, lip) for n in grid]
+        assert all(type(r) is float for r in scalar)
+        assert radii.tolist() == scalar
+    assert 0 < np.count_nonzero(radii < raw) < len(grid)
 
 
 def test_clipped_radius_passes_the_precondition():

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gpbounds import kernels
 from gpbounds.bounds import bound_report
 from gpbounds.gp import TrainingSet
-from gpbounds.kernels import (ALL_KINDS, ISOTROPIC_KINDS, Kernel, KernelError,
+from gpbounds.kernels import (ALL_KINDS, GRID_POINTS, ISOTROPIC_KINDS,
+                              SAFETY_FACTOR, Kernel, KernelError,
                               _grid_lipschitz, as_point, as_points, gram_columns,
                               kernel_diagonal, kernel_matrix,
                               kernel_vector, lipschitz_constant, make_kernel,
@@ -294,3 +297,53 @@ def test_lipschitz_grid_value_rq():
     est = lipschitz_constant(rational_quadratic(), (0.0, 2.0))
     assert est.method == "grid-estimate"
     assert math.isclose(est.value, 1.05 * exact, rel_tol=1e-3)
+
+
+def _full_grid_lipschitz(kernel, lo, hi):
+    """The whole 10^4 x 201 grid at once: the oracle for the row blocks."""
+    xs = np.linspace(lo, hi, GRID_POINTS)
+    zs = np.linspace(lo, hi, 201)
+    K = kernel_matrix(kernel, xs, zs)
+    slope = float(np.max(np.abs(np.diff(K, axis=0)))) / (xs[1] - xs[0])
+    return slope * SAFETY_FACTOR
+
+
+INNER_PRODUCT_KERNELS = [polynomial(), polynomial(0.3, 5, 2.0),
+                         neural_network(), neural_network(0.2, 3.0, 0.5)]
+
+
+@pytest.mark.parametrize("domain", [(0.5, 1.5), (-2.0, -0.5), (-1.3, 2.7),
+                                    (0.0, 1e-3)])
+@pytest.mark.parametrize("kernel", INNER_PRODUCT_KERNELS,
+                         ids=["poly", "poly-d5", "nn", "nn-wide"])
+def test_blocked_grid_equals_the_full_grid(kernel, domain):
+    # the 9,999 row differences leave a short last block
+    assert (GRID_POINTS - 1) % kernels._GRID_BLOCK != 0
+    assert lipschitz_constant(kernel, domain).value == _full_grid_lipschitz(kernel, *domain)
+
+
+@pytest.mark.parametrize("block", [1, 97, GRID_POINTS - 1, GRID_POINTS])
+def test_every_block_size_takes_the_differences_across_block_edges(monkeypatch, block):
+    """With one row per block every difference straddles a block edge."""
+    monkeypatch.setattr(kernels, "_GRID_BLOCK", block)
+    for kernel in (polynomial(), neural_network()):
+        assert (lipschitz_constant(kernel, (-1.3, 2.7)).value
+                == _full_grid_lipschitz(kernel, -1.3, 2.7))
+
+
+@pytest.mark.parametrize("kernel", [polynomial(), neural_network()], ids=["poly", "nn"])
+def test_grid_lipschitz_holds_little_memory(kernel):
+    """The whole grid and its difference copies held 46 MiB; a block holds
+    under half a megabyte."""
+    tracemalloc.start()
+    try:
+        lipschitz_constant(kernel, (0.5, 1.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+
+
+def test_lipschitz_value_is_a_python_float():
+    for k in all_kernels():
+        assert type(lipschitz_constant(k, (0.5, 1.5)).value) is float
