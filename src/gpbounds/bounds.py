@@ -74,7 +74,7 @@ def isotropic_bound(kernel: Kernel, ballcount: int, radius: float,
     Requires at least one sample in the ball; report k(0) yourself for an
     empty ball (bound_report does).
     """
-    if not (kernel.isotropic and kernel.decreasing):
+    if not kernel.decreasing:
         raise BoundError("isotropic_bound needs an isotropic, decreasing kernel")
     if ballcount < 1 or int(ballcount) != ballcount:
         raise BoundError("ballcount must be a positive integer; "
@@ -158,13 +158,11 @@ class BoundReport:
     """Every bound evaluated on one dataset at one test point.  Fields are
     None where a bound's preconditions do not apply to this kernel."""
 
-    n: int
     exact: float
     lipschitz: float
     isotropic: float | None
     one_point: float | None
     two_point: float | None
-    rho: float
     ball: int
 
 
@@ -181,7 +179,7 @@ def bound_report(train: TrainingSet, kernel: Kernel, x, radius: float,
     general = lipschitz_bound(kernel, lipschitz, xp, count, radius,
                               train.noise_variance)
     iso = one_pt = two_pt = None
-    if kernel.isotropic and kernel.decreasing:
+    if kernel.decreasing:
         if count >= 1:
             iso = isotropic_bound(kernel, count, radius, train.noise_variance)
         else:
@@ -196,5 +194,4 @@ def bound_report(train: TrainingSet, kernel: Kernel, x, radius: float,
             two_pt = two_point_bound(kernel, float(dists[order[0]]),
                                      float(dists[order[1]]), delta,
                                      train.noise_variance)
-    return BoundReport(train.n, exact, general, iso, one_pt, two_pt,
-                       float(radius), count)
+    return BoundReport(exact, general, iso, one_pt, two_pt, count)

@@ -31,17 +31,6 @@ def _resolve(config_path, preset, seed, n_max, subtract_noise=None) -> Experimen
     return apply_overrides(cfg, seed=seed, n_max=n_max)
 
 
-def _run(action):
-    try:
-        action()
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(CONFIG_EXIT)
-    except (FactorizationError, QuadratureError) as exc:
-        click.echo(f"numerical error: {exc}", err=True)
-        sys.exit(NUMERIC_EXIT)
-
-
 def _common(fn):
     fn = click.option("--config", "config_path",
                       type=click.Path(dir_okay=False),
@@ -57,7 +46,22 @@ def _common(fn):
     return fn
 
 
-@click.group()
+class _ExitCodeGroup(click.Group):
+    """Maps the package's errors to exit codes and messages, once for every
+    command below the group."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ConfigError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(CONFIG_EXIT)
+        except (FactorizationError, QuadratureError) as exc:
+            click.echo(f"numerical error: {exc}", err=True)
+            sys.exit(NUMERIC_EXIT)
+
+
+@click.group(cls=_ExitCodeGroup)
 def main() -> None:
     """Posterior-variance bounds and learning-curve experiments."""
 
@@ -66,11 +70,9 @@ def main() -> None:
 @_common
 def variance(config_path, preset, seed, out_path, n_max) -> None:
     """Average exact variance and bounds at a test point over a size grid."""
-    def action():
-        cfg = _resolve(config_path, preset, seed, n_max)
-        rows = run_variance_experiment(cfg, out_path)
-        click.echo(f"wrote {len(rows)} rows to {out_path}")
-    _run(action)
+    cfg = _resolve(config_path, preset, seed, n_max)
+    rows = run_variance_experiment(cfg, out_path)
+    click.echo(f"wrote {len(rows)} rows to {out_path}")
 
 
 @main.command("learning-curve")
@@ -80,32 +82,27 @@ def variance(config_path, preset, seed, out_path, n_max) -> None:
 def learning_curve(config_path, preset, seed, out_path, n_max,
                    subtract_noise) -> None:
     """Monte-Carlo learning curve with one-, two-, and multi-sample bounds."""
-    def action():
-        cfg = _resolve(config_path, preset, seed, n_max,
-                       subtract_noise=subtract_noise)
-        table = run_learning_curve(cfg, out_path)
-        click.echo(f"wrote {len(table.rows)} rows to {out_path}")
-    _run(action)
+    cfg = _resolve(config_path, preset, seed, n_max, subtract_noise=subtract_noise)
+    table = run_learning_curve(cfg, out_path)
+    click.echo(f"wrote {len(table.rows)} rows to {out_path}")
 
 
 @main.command()
 @_common
 def convergence(config_path, preset, seed, out_path, n_max) -> None:
     """Check a sampling density and radius schedule, and tabulate ball growth."""
-    def action():
-        cfg = _resolve(config_path, preset, seed, n_max)
-        verdict = run_convergence_check(cfg, out_path)
-        if verdict.satisfied:
-            click.echo("satisfied: yes")
-            click.echo(f"witness c = {verdict.c}")
-            click.echo(f"witness epsilon = {verdict.epsilon}")
-        else:
-            click.echo("satisfied: no")
-            if verdict.first_failing_n is not None:
-                click.echo(f"first failing n = {verdict.first_failing_n}")
-            click.echo(f"reason: {verdict.reason}")
-        click.echo(f"wrote growth table to {out_path}")
-    _run(action)
+    cfg = _resolve(config_path, preset, seed, n_max)
+    verdict = run_convergence_check(cfg, out_path)
+    if verdict.satisfied:
+        click.echo("satisfied: yes")
+        click.echo(f"witness c = {verdict.c}")
+        click.echo(f"witness epsilon = {verdict.epsilon}")
+    else:
+        click.echo("satisfied: no")
+        if verdict.first_failing_n is not None:
+            click.echo(f"first failing n = {verdict.first_failing_n}")
+        click.echo(f"reason: {verdict.reason}")
+    click.echo(f"wrote growth table to {out_path}")
 
 
 @main.group()
@@ -125,9 +122,7 @@ def presets_list() -> None:
               required=True, help="CSV written by a previous run.")
 def plot_script_cmd(csv_path) -> None:
     """Print a gnuplot script for a CSV produced by this tool."""
-    def action():
-        click.echo(plot_script(csv_path), nl=False)
-    _run(action)
+    click.echo(plot_script(csv_path), nl=False)
 
 
 if __name__ == "__main__":

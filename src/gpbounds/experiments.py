@@ -264,7 +264,7 @@ def run_variance_experiment(cfg: ExperimentConfig, out_path) -> list[tuple]:
     schedule = RadiusSchedule(cfg.schedule_c, resolved_schedule_alpha(cfg))
     lipexpand = lipschitz_constant(kernel, (cfg.domain_lo, cfg.domain_hi))
     x = cfg.test_point
-    has_iso = kernel.isotropic and kernel.decreasing
+    has_iso = kernel.decreasing
     grid = log_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade)
     radii = radius_at(schedule, grid, kernel, x, lipexpand.value).tolist()
     rows = []

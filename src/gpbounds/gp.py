@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .kernels import (MATERN_HALF, Kernel, as_point, as_points, gram_columns,
-                      kernel_diagonal, kernel_matrix, kernel_vector)
+                      kernel_diagonal, kernel_matrix)
 
 
 # columns of the Gram built per kernel_matrix call; 64 and 128 ran alike
@@ -175,7 +175,7 @@ class GPPosterior:
             return 0.0
         if self.train.outputs is None:
             raise ValueError("posterior mean needs training outputs")
-        k_x = kernel_vector(self.kernel, self.train.inputs, x)
+        k_x = _query_block(self.kernel, as_points(as_point(x)), self.train.inputs)[:, 0]
         return float(k_x @ self._alpha)
 
 

@@ -132,24 +132,25 @@ class Kernel:
         return float(out) if out.ndim == 0 else out
 
     def __call__(self, x, z) -> float:
-        """Evaluate k(x, z) for a pair of points."""
-        xp, zp = as_point(x), as_point(z)
-        if self.isotropic:
-            return self.iso(abs(xp - zp))
-        return float(kernel_matrix(self, xp, zp)[0, 0])
+        """Evaluate k(x, z) for a pair of points: the entry of their Gram."""
+        return float(kernel_matrix(self, as_point(x), as_point(z))[0, 0])
 
     def prior_variance(self, x) -> float:
-        """k(x, x); constant (= signal variance) for isotropic kinds."""
-        if self.isotropic:
-            return float(self.signal_variance)
-        return self(x, x)
+        """k(x, x) at one point: the entry of ``kernel_diagonal``."""
+        return float(kernel_diagonal(self, as_point(x))[0])
 
 
-def _nn_gram(kernel: Kernel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """s2 (2/pi) arcsin(2 s_xz / sqrt((1 + 2 s_xx)(1 + 2 s_zz))), with
-    s_xz = sb + sw x z, computed in place in one buffer of the shape X and Z
-    broadcast to: (n, 1) against (m,) gives the Gram, (n,) against (n,) its
-    diagonal, entry for entry the same arithmetic."""
+def _inner_product_gram(kernel: Kernel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """The polynomial or neural-network k(X, Z) for X and Z that broadcast:
+    (n, 1) against (m,) gives the Gram, (n,) against (n,) its diagonal,
+    entry for entry the same arithmetic.
+
+    polynomial:      s2 (x z + c)^d
+    neural-network:  s2 (2/pi) arcsin(2 s_xz / sqrt((1 + 2 s_xx)(1 + 2 s_zz)))
+                     with s_xz = sb + sw x z, computed in place in one buffer
+    """
+    if kernel.kind == POLYNOMIAL:
+        return kernel.signal_variance * (X * Z + kernel.offset) ** kernel.degree
     sb, sw = kernel.bias_variance, kernel.weight_variance
     s = X * Z
     s *= sw
@@ -202,10 +203,7 @@ def kernel_matrix(kernel: Kernel, X, Z=None) -> np.ndarray:
                               _periodic_features(kernel, Zp))
     if kernel.isotropic:
         return kernel.iso(np.abs(np.subtract.outer(Xp, Zp)))
-    if kernel.kind == POLYNOMIAL:
-        prod = np.multiply.outer(Xp, Zp)
-        return kernel.signal_variance * (prod + kernel.offset) ** kernel.degree
-    return _nn_gram(kernel, Xp[:, None], Zp)
+    return _inner_product_gram(kernel, Xp[:, None], Zp)
 
 
 def kernel_diagonal(kernel: Kernel, X) -> np.ndarray:
@@ -214,9 +212,7 @@ def kernel_diagonal(kernel: Kernel, X) -> np.ndarray:
     Xp = as_points(X)
     if kernel.isotropic:
         return np.full(Xp.size, float(kernel.signal_variance))
-    if kernel.kind == POLYNOMIAL:
-        return kernel.signal_variance * (Xp * Xp + kernel.offset) ** kernel.degree
-    return _nn_gram(kernel, Xp, Xp)
+    return _inner_product_gram(kernel, Xp, Xp)
 
 
 def kernel_vector(kernel: Kernel, X, x) -> np.ndarray:
@@ -279,7 +275,6 @@ class LipschitzEstimate:
 
     value: float
     method: str          # "analytic" or "grid-estimate"
-    safety_factor: float
 
 
 def _as_interval(domain) -> tuple[float, float]:
@@ -309,12 +304,12 @@ def lipschitz_constant(kernel: Kernel, domain) -> LipschitzEstimate:
     """
     lo, hi = _as_interval(domain)
     if hi == lo:
-        return LipschitzEstimate(0.0, "analytic", 1.0)
+        return LipschitzEstimate(0.0, "analytic")
     s2, l = kernel.signal_variance, kernel.lengthscale
     if kernel.kind == SQUARED_EXPONENTIAL:
-        return LipschitzEstimate(s2 * math.exp(-0.5) / l, "analytic", 1.0)
+        return LipschitzEstimate(s2 * math.exp(-0.5) / l, "analytic")
     if kernel.kind == MATERN_HALF:
-        return LipschitzEstimate(s2 / l, "analytic", 1.0)
+        return LipschitzEstimate(s2 / l, "analytic")
     return _grid_lipschitz(kernel, lo, hi)
 
 
@@ -339,4 +334,4 @@ def _grid_lipschitz(kernel: Kernel, lo: float, hi: float) -> LipschitzEstimate:
             # np.maximum, unlike max(), carries a nan through
             steepest = np.maximum(steepest, np.abs(d, out=d).max())
         slope = steepest / (xs[1] - xs[0])
-    return LipschitzEstimate(float(slope * SAFETY_FACTOR), "grid-estimate", SAFETY_FACTOR)
+    return LipschitzEstimate(float(slope * SAFETY_FACTOR), "grid-estimate")

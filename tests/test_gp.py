@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 import gpbounds.gp as gp
 from gpbounds.gp import _GRAM_BLOCK, FactorizationError, GPPosterior, TrainingSet
-from gpbounds.kernels import (KERNEL_PARAMS, KernelError, _nn_gram, gram_columns,
-                              kernel_matrix, kernel_vector, lipschitz_constant, make_kernel,
-                              matern_half, neural_network, periodic,
+from gpbounds.kernels import (KERNEL_PARAMS, KernelError, _inner_product_gram,
+                              gram_columns, kernel_matrix, kernel_vector,
+                              lipschitz_constant, make_kernel, matern_half,
+                              neural_network, periodic, polynomial,
                               squared_exponential)
 
 KINDS = ("squared-exponential", "matern-1/2", "rational-quadratic",
@@ -255,21 +256,23 @@ def test_in_place_nn_gram_equals_the_expression():
             ratio = _nn_ratio(k, X, Z)
             clipped |= bool(np.any(ratio > 1.0))
             oracle = k.signal_variance * (2.0 / np.pi) * np.arcsin(np.clip(ratio, -1.0, 1.0))
-            assert np.array_equal(_nn_gram(k, X[:, None], Z), oracle)
+            assert np.array_equal(_inner_product_gram(k, X[:, None], Z), oracle)
             assert np.array_equal(kernel_matrix(k, X, Z), oracle)
     assert clipped
 
 
 def test_non_finite_query_is_rejected():
-    """A query whose covariances are not finite raises ValueError.  The
-    squared-exponential covariance with an infinitely far point is a finite
-    0, so that query returns the prior."""
+    """A query whose covariances are not finite raises ValueError, from the
+    mean as from the variance.  The squared-exponential covariance with an
+    infinitely far point is a finite 0, so that query returns the prior."""
     X = np.linspace(0.0, 1.0, 5)
     for k in (squared_exponential(), make_kernel("periodic"), neural_network()):
-        post = GPPosterior(TrainingSet(X, 0.1), k)
+        post = GPPosterior(TrainingSet(X, 0.1, np.sin(X)), k)
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError):
                 post.variance(np.nan)
+            with pytest.raises(ValueError):
+                post.mean(np.nan)
             with pytest.raises(ValueError):
                 post.variance_batch([np.nan, 0.5])
             if k.kind != "squared-exponential":
@@ -449,6 +452,11 @@ def smooth_posteriors(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(case=smooth_posteriors(), x=st.floats(0.5, 1.5))
+# the polynomial case where the dense cho_solve value misses the exact value
+# by 8.0e-10 relative; pinned because the drawn examples change with the
+# literals of the project's modules
+@example(case=(polynomial(offset=1.77, degree=4, signal_variance=3.97),
+               np.random.default_rng(0).uniform(0.5, 1.5, 128), 0.01), x=1.5)
 def test_low_rank_variance_is_dense_and_non_negative(case, x):
     """Whichever route a smooth kernel takes, the variance is non-negative
     and within 1e-10 relative of the dense cho_solve value.  The polynomial

@@ -198,13 +198,17 @@ def test_separable_periodic_gram_keeps_accuracy_far_from_zero():
 def test_gram_blocks_equal_the_full_gram():
     """Any block of a Gram, down to one column or one entry, equals the same
     entries of the full Gram bit for bit, and so do the columns from
-    gram_columns: the blocked factor, the pivot columns of the low-rank route
-    and one-point queries all rely on it."""
+    gram_columns, the scalar k(x, z), k.prior_variance(x) and
+    kernel_diagonal: the blocked factor, the pivot columns of the low-rank
+    route, one-point queries and the bounds all rely on it."""
     rng = np.random.default_rng(18)
     X = rng.uniform(-1.5, 1.5, 70)
     for k in all_kernels():
         K = kernel_matrix(k, X)
         column = gram_columns(k, X)
+        assert np.array_equal(kernel_diagonal(k, X), np.diag(K)), k
+        assert all(k(X[i], X[j]) == K[i, j] for i in range(70) for j in range(70)), k
+        assert all(k.prior_variance(X[j]) == K[j, j] for j in range(70)), k
         for lo, hi in ((0, 1), (3, 5), (10, 13), (64, 70), (0, 70)):
             assert np.array_equal(kernel_matrix(k, X, X[lo:hi]), K[:, lo:hi]), (k, lo, hi)
             assert np.array_equal(kernel_matrix(k, X[lo:hi], X[:2]), K[lo:hi, :2]), (k, lo, hi)
@@ -265,7 +269,6 @@ def test_lipschitz_grid_vs_analytic_on_se():
     analytic = lipschitz_constant(squared_exponential(), (0.0, 3.0))
     grid = _grid_lipschitz(squared_exponential(), 0.0, 3.0)
     assert grid.method == "grid-estimate"
-    assert grid.safety_factor == 1.05
     assert math.isclose(grid.value, 1.05 * analytic.value, rel_tol=2e-3)
 
 
