@@ -4,10 +4,9 @@ and averaged learning-curve estimates for one-dimensional inputs."""
 from .kernels import (ALL_KINDS, ISOTROPIC_KINDS, KERNEL_PARAMS, MATERN_HALF,
                       NEURAL_NETWORK, PERIODIC, POLYNOMIAL, RATIONAL_QUADRATIC,
                       SQUARED_EXPONENTIAL, Kernel, KernelError,
-                      LipschitzEstimate, kernel_matrix, kernel_vector,
-                      lipschitz_constant, make_kernel, matern_half,
-                      neural_network, periodic, polynomial,
-                      rational_quadratic, squared_exponential)
+                      LipschitzEstimate, kernel_matrix, lipschitz_constant,
+                      make_kernel, matern_half, neural_network, periodic,
+                      polynomial, rational_quadratic, squared_exponential)
 from .gp import FactorizationError, GPPosterior, TrainingSet
 from .bounds import (BoundError, BoundReport, RadiusSchedule, ball_count,
                      bound_report, isotropic_bound, lipschitz_bound,
@@ -31,9 +30,8 @@ __all__ = [
     "ALL_KINDS", "ISOTROPIC_KINDS", "KERNEL_PARAMS", "MATERN_HALF", "NEURAL_NETWORK",
     "PERIODIC", "POLYNOMIAL", "RATIONAL_QUADRATIC", "SQUARED_EXPONENTIAL",
     "Kernel", "KernelError", "LipschitzEstimate", "kernel_matrix",
-    "kernel_vector", "lipschitz_constant", "make_kernel", "matern_half",
-    "neural_network", "periodic", "polynomial", "rational_quadratic",
-    "squared_exponential",
+    "lipschitz_constant", "make_kernel", "matern_half", "neural_network",
+    "periodic", "polynomial", "rational_quadratic", "squared_exponential",
     "FactorizationError", "GPPosterior", "TrainingSet",
     "BoundError", "BoundReport", "RadiusSchedule", "ball_count",
     "bound_report", "isotropic_bound", "lipschitz_bound", "one_point_bound",

@@ -38,18 +38,18 @@ from .kernels import (MATERN_HALF, Kernel, as_point, as_points, gram_columns,
 # columns of the Gram built per kernel_matrix call; 64 and 128 ran alike
 _GRAM_BLOCK = 64
 # smallest N that tries the low-rank route.  One BLAS thread, building the
-# posterior and one query: squared-exponential 0.49 ms low-rank vs 0.33 dense
-# at N = 128, 0.58 vs 0.80 at 256; with 200 queries (l = 0.3) 0.76 vs 0.87 ms
-# at N = 128 already
+# posterior and one query: squared-exponential 0.45 ms low-rank vs 0.29 dense
+# at N = 128, 0.42 vs 0.74 at 256 (neural-network 0.62 vs 0.39, 0.59 vs
+# 1.15); with 200 queries (l = 0.3) 0.62 vs 0.85 ms at N = 128 already
 _LOWRANK_MIN_N = 128
 # pivoting stops once the largest residual diagonal is at most this times the
 # largest kernel diagonal, about rounding level; on [0.5, 1.5] that is rank 4
 # (polynomial), 10 (squared-exponential) and 14-16 (neural-network)
 _PIVOT_RTOL = 1e-15
 # the rank is capped at N // _RANK_CAP_DIVISOR, where the pivot loop costs
-# about as much as the dense factor (Matern-1/2, l = 0.3: 6.3 vs 5.7 ms at
-# N = 500, 172 vs 142 ms at N = 2000); periodic with l = 0.3 stops at rank
-# 70 at N = 500 and 73 at N = 2000, below the cap
+# about as much as the dense factor (Matern-1/2, l = 0.3: 4.3 vs 3.5 ms at
+# N = 500, 133 vs 114 ms at N = 2000); periodic with l = 0.3 stops at rank
+# 71 at N = 500 and 74 at N = 2000, below the cap
 _RANK_CAP_DIVISOR = 4
 # the factor is used only when N times the largest residual diagonal, a
 # bound on the 2-norm of K - Phi' Phi, is at most this times the noise
@@ -228,16 +228,16 @@ def _pivoted_cholesky(kernel: Kernel, X: np.ndarray, s: float):
     stop = _PIVOT_RTOL * d.max()
     Phi = np.empty((n // _RANK_CAP_DIVISOR, n))
     column = gram_columns(kernel, X)
+    square = np.empty(n)
     pivots = []
     for m in range(len(Phi)):
         i = int(np.argmax(d))
         if d[i] <= stop:
             break
-        col = _checked(column(i), "covariance matrix")
-        col -= Phi[:m, i] @ Phi[:m]
-        col /= math.sqrt(d[i])
-        Phi[m] = col
-        d -= col * col
+        row = np.subtract(_checked(column(i), "covariance matrix"),
+                          Phi[:m, i] @ Phi[:m], out=Phi[m])
+        row /= math.sqrt(d[i])
+        d -= np.multiply(row, row, out=square)
         d[i] = 0.0      # exactly, where rounding would leave a few ulps
         pivots.append(i)
     if n * d.max() > _RESIDUAL_NOISE_RTOL * s:

@@ -120,16 +120,35 @@ class Kernel:
         if np.any(t < 0):
             raise KernelError("tau must be non-negative")
         s2, l = self.signal_variance, self.lengthscale
-        if self.kind == SQUARED_EXPONENTIAL:
-            out = s2 * np.exp(-0.5 * (t / l) ** 2)
-        elif self.kind == MATERN_HALF:
-            out = s2 * np.exp(-t / l)
-        elif self.kind == RATIONAL_QUADRATIC:
+        # The steps and their order are those of the one-line forms, so they
+        # round the same.  For an array the first step makes a buffer that
+        # every later step changes in place; for a scalar v is a numpy float,
+        # which the augmented operators rebind and ufuncs take fastest
+        # without out=.
+        if self.kind == RATIONAL_QUADRATIC:
             a = self.alpha
-            out = s2 * (1.0 + t * t / (2.0 * a * l * l)) ** (-a)
+            v = t * t                   # s2 (1 + t^2 / (2 a l^2))^-a
+            v /= 2.0 * a * l * l
+            v += 1.0
+            v **= -a
         else:
-            out = s2 * np.exp(-2.0 * np.sin(np.pi * t / self.period) ** 2 / (l * l))
-        return float(out) if out.ndim == 0 else out
+            if self.kind == SQUARED_EXPONENTIAL:
+                v = t / l               # s2 exp(-(t / l)^2 / 2)
+                v **= 2
+                v *= -0.5
+            elif self.kind == MATERN_HALF:
+                v = -t                  # s2 exp(-t / l)
+                v /= l
+            else:
+                v = np.pi * t           # s2 exp(-2 sin^2(pi t / p) / l^2)
+                v /= self.period
+                v = np.sin(v, out=v) if t.ndim else np.sin(v)
+                v **= 2
+                v *= -2.0
+                v /= l * l
+            v = np.exp(v, out=v) if t.ndim else np.exp(v)
+        v *= s2
+        return float(v) if t.ndim == 0 else v
 
     def __call__(self, x, z) -> float:
         """Evaluate k(x, z) for a pair of points: the entry of their Gram."""
@@ -140,70 +159,72 @@ class Kernel:
         return float(kernel_diagonal(self, as_point(x))[0])
 
 
-def _inner_product_gram(kernel: Kernel, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """The polynomial or neural-network k(X, Z) for X and Z that broadcast:
-    (n, 1) against (m,) gives the Gram, (n,) against (n,) its diagonal,
-    entry for entry the same arithmetic.
+def _features(kernel: Kernel, V: np.ndarray) -> tuple:
+    """The per-point quantities ``_gram`` builds k(x, z) from, one array
+    each: x; for the neural-network kind x and a = 1 + 2 (sb + sw x^2); for
+    the periodic kind sin b and cos b with b = pi fmod(x, p) / p.  The
+    reduction by fmod(x, p) is exact and leaves sin^2 unchanged, so the
+    periodic features keep full accuracy for inputs far from 0."""
+    if kernel.kind == PERIODIC:
+        p = kernel.period
+        b = np.pi * np.fmod(V, p) / p
+        return np.sin(b), np.cos(b)
+    if kernel.kind == NEURAL_NETWORK:
+        return V, 1.0 + 2.0 * (kernel.bias_variance + kernel.weight_variance * (V * V))
+    return (V,)
 
+
+def _gram(kernel: Kernel, fx, fz) -> np.ndarray:
+    """k(x, z) from the features of x and z, which broadcast: (n, 1)
+    against (m,) gives a Gram, (n,) against (n,) its diagonal and (n,)
+    against scalars one column, entry for entry the same arithmetic.
+
+    isotropic:       k.iso(|x - z|)
+    periodic:        s2 exp(-2 sin^2(b_x - b_z) / l^2), with
+                     sin(b_x - b_z) = sin b_x cos b_z - cos b_x sin b_z; the
+                     two products are the same pair with x and z swapped,
+                     so k(X, Z) = k(Z, X)' bit for bit, and k(x, x) is
+                     exactly the signal variance
     polynomial:      s2 (x z + c)^d
-    neural-network:  s2 (2/pi) arcsin(2 s_xz / sqrt((1 + 2 s_xx)(1 + 2 s_zz)))
-                     with s_xz = sb + sw x z, computed in place in one buffer
+    neural-network:  s2 (2/pi) arcsin(2 (sb + sw x z) / sqrt(a_x a_z))
     """
     if kernel.kind == POLYNOMIAL:
-        return kernel.signal_variance * (X * Z + kernel.offset) ** kernel.degree
-    sb, sw = kernel.bias_variance, kernel.weight_variance
-    s = X * Z
-    s *= sw
-    s += sb
-    s_xx = sb + sw * (X * X)
-    s_zz = sb + sw * (Z * Z)
-    denom = (1.0 + 2.0 * s_xx) * (1.0 + 2.0 * s_zz)
+        return kernel.signal_variance * (fx[0] * fz[0] + kernel.offset) ** kernel.degree
+    if kernel.kind == PERIODIC:
+        (sin_x, cos_x), (sin_z, cos_z) = fx, fz
+        l = kernel.lengthscale
+        s = sin_x * cos_z
+        s -= cos_x * sin_z
+        s *= s
+        s *= -2.0
+        s /= l * l
+        np.exp(s, out=s)
+        s *= kernel.signal_variance
+        return s
+    if kernel.isotropic:
+        t = np.subtract(fx[0], fz[0])
+        return kernel.iso(np.abs(t, out=t))
+    (x, a_x), (z, a_z) = fx, fz
+    s = x * z
+    s *= kernel.weight_variance
+    s += kernel.bias_variance
+    denom = a_x * a_z
     np.sqrt(denom, out=denom)
     s *= 2.0
     s /= denom
     # rounding can push the ratio a hair past 1 for coincident points
-    np.clip(s, -1.0, 1.0, out=s)
+    np.minimum(s, 1.0, out=s)
+    np.maximum(s, -1.0, out=s)
     np.arcsin(s, out=s)
     s *= kernel.signal_variance * (2.0 / np.pi)
     return s
 
 
-def _periodic_features(kernel: Kernel, V: np.ndarray):
-    """sin a and cos a with a = pi fmod(v, p) / p at each point.  The
-    reduction by fmod(v, p) is exact and leaves sin^2 unchanged, so the
-    features keep full accuracy for inputs far from 0."""
-    p = kernel.period
-    a = np.pi * np.fmod(V, p) / p
-    return np.sin(a), np.cos(a)
-
-
-def _periodic_gram(kernel: Kernel, fx, fz) -> np.ndarray:
-    """The periodic Gram from the features of X and Z: with a = pi x / p and
-    b = pi z / p, sin(a - b) = sin a cos b - cos a sin b.  The two products
-    are the same pair with X and Z swapped, so k(X, Z) = k(Z, X)' bit for
-    bit, and the diagonal is exactly the signal variance."""
-    (sin_x, cos_x), (sin_z, cos_z) = fx, fz
-    l = kernel.lengthscale
-    s = np.multiply.outer(sin_x, cos_z)
-    s -= np.multiply.outer(cos_x, sin_z)
-    s *= s
-    s *= -2.0
-    s /= l * l
-    np.exp(s, out=s)
-    s *= kernel.signal_variance
-    return s
-
-
 def kernel_matrix(kernel: Kernel, X, Z=None) -> np.ndarray:
     """Cross-covariance matrix k(X, Z); Z defaults to X."""
-    Xp = as_points(X)
-    Zp = Xp if Z is None else as_points(Z)
-    if kernel.kind == PERIODIC:
-        return _periodic_gram(kernel, _periodic_features(kernel, Xp),
-                              _periodic_features(kernel, Zp))
-    if kernel.isotropic:
-        return kernel.iso(np.abs(np.subtract.outer(Xp, Zp)))
-    return _inner_product_gram(kernel, Xp[:, None], Zp)
+    fx = _features(kernel, as_points(X))
+    fz = fx if Z is None else _features(kernel, as_points(Z))
+    return _gram(kernel, [f[:, None] for f in fx], fz)
 
 
 def kernel_diagonal(kernel: Kernel, X) -> np.ndarray:
@@ -212,23 +233,16 @@ def kernel_diagonal(kernel: Kernel, X) -> np.ndarray:
     Xp = as_points(X)
     if kernel.isotropic:
         return np.full(Xp.size, float(kernel.signal_variance))
-    return _inner_product_gram(kernel, Xp, Xp)
-
-
-def kernel_vector(kernel: Kernel, X, x) -> np.ndarray:
-    """Covariances between the points X and a single point x, shape (n,)."""
-    return kernel_matrix(kernel, X, as_point(x))[:, 0]
+    f = _features(kernel, Xp)
+    return _gram(kernel, f, f)
 
 
 def gram_columns(kernel: Kernel, X):
     """A function j -> k(X, X[j]), shape (n,), equal bit for bit to
-    ``kernel_matrix(kernel, X, X[j])[:, 0]``.  For the periodic kind the
-    features of X are computed once, not once per column."""
-    Xp = as_points(X)
-    if kernel.kind != PERIODIC:
-        return lambda j: kernel_matrix(kernel, Xp, Xp[j])[:, 0]
-    sin_x, cos_x = fx = _periodic_features(kernel, Xp)
-    return lambda j: _periodic_gram(kernel, fx, (sin_x[j:j + 1], cos_x[j:j + 1]))[:, 0]
+    ``kernel_matrix(kernel, X)[:, j]``.  The features of X are computed
+    once, not once per column."""
+    f = _features(kernel, as_points(X))
+    return lambda j: _gram(kernel, f, [v[j] for v in f])
 
 
 def squared_exponential(lengthscale: float = 1.0, signal_variance: float = 1.0) -> Kernel:

@@ -22,9 +22,8 @@ from gpbounds.curves import (e1_bound, e2_bound, e_rho_bound,
                              greedy_select_n, monte_carlo_curve)
 from gpbounds.experiments import log_grid
 from gpbounds.gp import GPPosterior, TrainingSet
-from gpbounds.kernels import (kernel_matrix, kernel_vector,
-                              lipschitz_constant, make_kernel, matern_half,
-                              neural_network, periodic, polynomial,
+from gpbounds.kernels import (kernel_matrix, lipschitz_constant, make_kernel,
+                              matern_half, neural_network, periodic, polynomial,
                               rational_quadratic, squared_exponential)
 
 KINDS = ("squared-exponential", "matern-1/2", "rational-quadratic",
@@ -68,7 +67,7 @@ def random_kernel(kind, rng):
 def dense_oracle(kernel, X, y, noise, x):
     A = kernel_matrix(kernel, X) + noise * np.eye(len(X))
     Ainv = np.linalg.inv(A)
-    kx = kernel_vector(kernel, X, x)
+    kx = kernel_matrix(kernel, X, x)[:, 0]
     var = kernel.prior_variance(x) - kx @ Ainv @ kx
     mean = None if y is None else kx @ Ainv @ np.asarray(y)
     return var, mean

@@ -8,8 +8,8 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 import gpbounds.gp as gp
 from gpbounds.gp import _GRAM_BLOCK, FactorizationError, GPPosterior, TrainingSet
-from gpbounds.kernels import (KERNEL_PARAMS, KernelError, _inner_product_gram,
-                              gram_columns, kernel_matrix, kernel_vector,
+from gpbounds.kernels import (KERNEL_PARAMS, KernelError, _features, _gram,
+                              gram_columns, kernel_diagonal, kernel_matrix,
                               lipschitz_constant, make_kernel, matern_half,
                               neural_network, periodic, polynomial,
                               squared_exponential)
@@ -22,7 +22,7 @@ def dense_oracle(kernel, X, y, noise, x):
     """Independent reference: explicit inverse instead of a factorization."""
     A = kernel_matrix(kernel, X) + noise * np.eye(len(X))
     Ainv = np.linalg.inv(A)
-    kx = kernel_vector(kernel, X, x)
+    kx = kernel_matrix(kernel, X, x)[:, 0]
     var = kernel.prior_variance(x) - kx @ Ainv @ kx
     mean = None if y is None else kx @ Ainv @ np.asarray(y)
     return var, mean
@@ -240,8 +240,15 @@ def _nn_ratio(kernel, X, Z):
     return 2.0 * s_xz / denom
 
 
+def _nn_oracle(kernel, X, Z):
+    ratio = np.clip(_nn_ratio(kernel, X, Z), -1.0, 1.0)
+    return kernel.signal_variance * (2.0 / np.pi) * np.arcsin(ratio)
+
+
 def test_in_place_nn_gram_equals_the_expression():
-    """The in-place arcsine Gram equals the one-expression form bit for bit."""
+    """The in-place arcsine Gram, built from the per-point features x and
+    1 + 2 (sb + sw x^2), equals the one-expression form bit for bit, and so
+    do its pivot columns and its diagonal, also where the ratio is clipped."""
     rng = np.random.default_rng(30)
     kernels = (neural_network(),
                neural_network(bias_variance=0.3, weight_variance=7.0, signal_variance=2.5))
@@ -253,11 +260,15 @@ def test_in_place_nn_gram_equals_the_expression():
     clipped = False
     for k in kernels:
         for X, Z in cases:
-            ratio = _nn_ratio(k, X, Z)
-            clipped |= bool(np.any(ratio > 1.0))
-            oracle = k.signal_variance * (2.0 / np.pi) * np.arcsin(np.clip(ratio, -1.0, 1.0))
-            assert np.array_equal(_inner_product_gram(k, X[:, None], Z), oracle)
+            clipped |= bool(np.any(_nn_ratio(k, X, Z) > 1.0))
+            oracle = _nn_oracle(k, X, Z)
+            fx, fz = _features(k, X), _features(k, Z)
+            assert np.array_equal(_gram(k, [f[:, None] for f in fx], fz), oracle)
             assert np.array_equal(kernel_matrix(k, X, Z), oracle)
+            column = gram_columns(k, Z)
+            assert all(np.array_equal(column(j), col)
+                       for j, col in enumerate(_nn_oracle(k, Z, Z).T))
+            assert np.array_equal(kernel_diagonal(k, X), np.diag(_nn_oracle(k, X, X)))
     assert clipped
 
 
@@ -280,6 +291,24 @@ def test_non_finite_query_is_rejected():
                     post.variance_batch([0.5, np.inf])
     post = GPPosterior(TrainingSet(X, 0.1), squared_exponential())
     assert post.variance_batch([0.5, np.inf])[1] == 1.0
+
+
+def test_non_finite_covariance_is_rejected_on_both_routes(monkeypatch):
+    """A training point at 1e200 gives the neural-network kernel a nan at
+    k(x, x).  At N = 200 the pivot loop picks that point first and its
+    checked column raises before any dense factor is built; at N = 20 a
+    checked block of the dense factor raises the same error."""
+    rng = np.random.default_rng(34)
+    k = neural_network()
+    for n in (200, 20):
+        X = rng.uniform(0.5, 1.5, n)
+        X[n // 2] = 1e200
+        with monkeypatch.context() as m:
+            if n >= gp._LOWRANK_MIN_N:
+                m.setattr(GPPosterior, "_dense_factor", lambda self: pytest.fail("dense"))
+            with np.errstate(invalid="ignore", over="ignore"):
+                with pytest.raises(ValueError, match="covariance matrix must be finite"):
+                    GPPosterior(TrainingSet(X, 0.1), k)
 
 
 SMOOTH_KINDS = tuple(kind for kind in KINDS if kind != "matern-1/2")

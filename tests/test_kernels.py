@@ -3,18 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gpbounds import kernels
 from gpbounds.bounds import bound_report
 from gpbounds.gp import TrainingSet
 from gpbounds.kernels import (ALL_KINDS, GRID_POINTS, ISOTROPIC_KINDS,
-                              SAFETY_FACTOR, Kernel, KernelError,
+                              KERNEL_PARAMS, SAFETY_FACTOR, Kernel, KernelError,
                               _grid_lipschitz, as_point, as_points, gram_columns,
                               kernel_diagonal, kernel_matrix,
-                              kernel_vector, lipschitz_constant, make_kernel,
-                              matern_half, neural_network, periodic,
-                              polynomial, rational_quadratic,
-                              squared_exponential)
+                              lipschitz_constant, make_kernel, matern_half,
+                              neural_network, periodic, polynomial,
+                              rational_quadratic, squared_exponential)
 
 
 def all_kernels():
@@ -76,6 +76,48 @@ def test_neural_network_diagonal_clip():
     v = k(50.0, 50.0)
     assert v <= k.signal_variance + 1e-15
     assert v > 0.9
+
+
+def _iso_one_line(k, t):
+    """k.iso(t) as one expression per kind, from a fresh array for t."""
+    s2, l = k.signal_variance, k.lengthscale
+    t = np.asarray(t, dtype=float)
+    if k.kind == "squared-exponential":
+        out = s2 * np.exp(-0.5 * (t / l) ** 2)
+    elif k.kind == "matern-1/2":
+        out = s2 * np.exp(-t / l)
+    elif k.kind == "rational-quadratic":
+        out = s2 * (1.0 + t * t / (2.0 * k.alpha * l * l)) ** (-k.alpha)
+    else:
+        out = s2 * np.exp(-2.0 * np.sin(np.pi * t / k.period) ** 2 / (l * l))
+    return float(out) if out.ndim == 0 else out
+
+
+def test_iso_in_place_equals_the_one_line_forms():
+    """k.iso, which builds an array's values in place in one buffer of its
+    own, equals the one-expression form bit for bit for arrays, scalars and
+    lists, leaves its argument unchanged, and returns a float for a scalar.
+    With alpha 1 the power is numpy's reciprocal shortcut, taken in place
+    as in the expression."""
+    rng = np.random.default_rng(19)
+    kernels = [squared_exponential(), matern_half(), rational_quadratic(), periodic(),
+               squared_exponential(0.3, 2.5), matern_half(0.7, 0.3),
+               rational_quadratic(0.3, 2.5, alpha=0.7), rational_quadratic(alpha=0.5),
+               rational_quadratic(0.4, alpha=2.5), periodic(0.4, 0.3, period=0.6)]
+    arrays = [rng.uniform(0.0, 3.0, 1000), rng.uniform(0.0, 1e3, (30, 40)),
+              np.array([0.0, -0.0, 1e-300, 0.5, 1.0, 1e100]), np.empty(0)]
+    scalars = [0.0, 0.3, 2.0, 1e3, np.float64(0.7), np.array(1.5), 7]
+    for k in kernels:
+        for t in arrays:
+            before = t.copy()
+            got = k.iso(t)
+            assert np.array_equal(t, before) and not np.shares_memory(got, t), k
+            want = _iso_one_line(k, t)
+            assert got.shape == t.shape and got.tobytes() == want.tobytes(), k
+        for t in scalars:
+            got = k.iso(t)
+            assert type(got) is float and got == _iso_one_line(k, t), (k, t)
+        assert np.array_equal(k.iso([0.1, 0.2, 3]), _iso_one_line(k, [0.1, 0.2, 3]))
 
 
 def test_iso_rejects_negative_tau_and_wrong_kind():
@@ -145,16 +187,6 @@ def test_cross_matrix_matches_pairwise_eval():
                                     abs_tol=1e-14)
 
 
-def test_kernel_vector_matches_matrix_column():
-    rng = np.random.default_rng(13)
-    X = rng.uniform(0.0, 1.0, 9)
-    for k in all_kernels():
-        v = kernel_vector(k, X, 0.4)
-        assert v.shape == (9,)
-        assert np.allclose(v, kernel_matrix(k, X, [0.4])[:, 0], rtol=0,
-                           atol=0)
-
-
 def test_kernel_diagonal_is_the_gram_diagonal():
     """kernel_diagonal equals the diagonal of the full Gram bit for bit for
     all six kinds, with default and other parameters, including far-out
@@ -197,10 +229,12 @@ def test_separable_periodic_gram_keeps_accuracy_far_from_zero():
 
 def test_gram_blocks_equal_the_full_gram():
     """Any block of a Gram, down to one column or one entry, equals the same
-    entries of the full Gram bit for bit, and so do the columns from
+    entries of the full Gram bit for bit, and so do every column from
     gram_columns, the scalar k(x, z), k.prior_variance(x) and
     kernel_diagonal: the blocked factor, the pivot columns of the low-rank
-    route, one-point queries and the bounds all rely on it."""
+    route, one-point queries and the bounds all rely on it.  The columns
+    are checked also on inputs offset by 1e3 and on far-out duplicated
+    points."""
     rng = np.random.default_rng(18)
     X = rng.uniform(-1.5, 1.5, 70)
     for k in all_kernels():
@@ -212,9 +246,42 @@ def test_gram_blocks_equal_the_full_gram():
         for lo, hi in ((0, 1), (3, 5), (10, 13), (64, 70), (0, 70)):
             assert np.array_equal(kernel_matrix(k, X, X[lo:hi]), K[:, lo:hi]), (k, lo, hi)
             assert np.array_equal(kernel_matrix(k, X[lo:hi], X[:2]), K[lo:hi, :2]), (k, lo, hi)
-        for j in (0, 33, 69):
-            assert np.array_equal(kernel_vector(k, X, X[j]), K[:, j]), (k, j)
+        for j in range(70):
             assert np.array_equal(column(j), K[:, j]), (k, j)
+    # far-out duplicated points, where the neural-network ratio is clipped
+    # (test_in_place_nn_gram_equals_the_expression shows it on this form)
+    big = np.repeat(rng.uniform(-1e9, 1e9, 20), 3)
+    for k in all_kernels():
+        for Y in (1e3 + X, big):
+            K = kernel_matrix(k, Y)
+            column = gram_columns(k, Y)
+            assert all(np.array_equal(column(j), K[:, j]) for j in range(Y.size)), k
+
+
+@st.composite
+def drawn_kernels(draw):
+    """A kernel of any kind with every parameter its kind reads drawn."""
+    kind = draw(st.sampled_from(ALL_KINDS))
+    params = {}
+    for name in KERNEL_PARAMS[kind]:
+        if name == "degree":
+            params[name] = draw(st.integers(1, 5))
+        else:
+            params[name] = draw(st.floats(0.1, 10.0))
+    return make_kernel(kind, **params)
+
+
+@settings(max_examples=60)
+@given(k=drawn_kernels(),
+       X=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))
+def test_columns_equal_the_gram_columns_for_drawn_kernels(k, X):
+    """For any kind and parameters, column j of gram_columns equals column
+    j of the full Gram bit for bit."""
+    X = np.array(X)
+    K = kernel_matrix(k, X)
+    column = gram_columns(k, X)
+    for j in range(X.size):
+        assert np.array_equal(column(j), K[:, j]), j
 
 
 def test_positive_semidefinite_sweep():
