@@ -25,7 +25,7 @@ NUMERIC_EXIT = 3
 def _resolve(config_path, preset, seed, n_max, subtract_noise=None) -> ExperimentConfig:
     if (config_path is None) == (preset is None):
         raise ConfigError("pass exactly one of --config and --preset")
-    cfg = load_config(config_path) if config_path else preset_config(preset)
+    cfg = load_config(config_path) if config_path is not None else preset_config(preset)
     if subtract_noise:
         cfg = replace(cfg, subtract_noise=True)
     return apply_overrides(cfg, seed=seed, n_max=n_max)

@@ -241,24 +241,19 @@ def e_rho_bound(kernel: Kernel, noise_variance: float, n_total: int, n: int,
     return total
 
 
-def _bound_for_size(kernel, noise_variance, n_total, size, quad_tol):
-    if size == 1:
-        return e1_bound(kernel, noise_variance, n_total, quad_tol)
-    if not segment_plan(n_total, size).valid:
-        return None
-    return e_rho_bound(kernel, noise_variance, n_total, size, quad_tol)
-
-
-def _greedy(kernel, noise_variance, n_total, n_start, quad_tol):
-    size = max(1, int(n_start))
-    best = _bound_for_size(kernel, noise_variance, n_total, size, quad_tol)
-    if best is None:
-        size, best = 1, _bound_for_size(kernel, noise_variance, n_total, 1, quad_tol)
-    while True:
-        trial = _bound_for_size(kernel, noise_variance, n_total, size + 1, quad_tol)
-        if trial is None or not trial < best:
-            return size, best
+def _greedy(kernel, noise_variance, n_total, n_start, e1, quad_tol):
+    """The walk's (size, bound); size 1 stands for the nearest-sample bound
+    e1, which the caller computes once."""
+    size, best = 1, e1
+    if n_start > 1 and segment_plan(n_total, n_start).valid:
+        size = int(n_start)
+        best = e_rho_bound(kernel, noise_variance, n_total, size, quad_tol)
+    while segment_plan(n_total, size + 1).valid:
+        trial = e_rho_bound(kernel, noise_variance, n_total, size + 1, quad_tol)
+        if not trial < best:
+            break
         size, best = size + 1, trial
+    return size, best
 
 
 def greedy_select_n(kernel: Kernel, noise_variance: float, n_total: int,
@@ -268,7 +263,8 @@ def greedy_select_n(kernel: Kernel, noise_variance: float, n_total: int,
     _check_curve_inputs(kernel, noise_variance, n_total)
     if n_start < 1 or int(n_start) != n_start:
         raise CurveError("n_start must be a positive integer")
-    return _greedy(kernel, noise_variance, n_total, n_start, quad_tol)[0]
+    e1 = e1_bound(kernel, noise_variance, n_total, quad_tol)
+    return _greedy(kernel, noise_variance, n_total, n_start, e1, quad_tol)[0]
 
 
 @dataclass(frozen=True)
@@ -327,6 +323,6 @@ def monte_carlo_curve(kernel: Kernel, noise_variance: float, n_list,
         se = float(np.std(dataset_means, ddof=1) / math.sqrt(datasets))
         e1 = e1_bound(kernel, noise_variance, n, quad_tol)
         e2 = e2_bound(kernel, noise_variance, n, quad_tol)
-        warm, e_rho = _greedy(kernel, noise_variance, n, warm, quad_tol)
+        warm, e_rho = _greedy(kernel, noise_variance, n, warm, e1, quad_tol)
         rows.append(CurveRow(n, e_num, se, e1, e2, e_rho, warm))
     return LearningCurveTable(tuple(rows))

@@ -300,10 +300,6 @@ def _as_interval(domain) -> tuple[float, float]:
 
 GRID_POINTS = 10_000
 SAFETY_FACTOR = 1.05
-# grid rows per kernel_matrix call in _grid_lipschitz, about 0.4 MB a block
-# where the whole grid held 46 MiB of temporaries.  Neural-network grid on a
-# 2-vCPU host: 64 to 512 rows 24-27 ms, 1000 rows 33 ms, all rows 47 ms
-_GRID_BLOCK = 256
 
 
 def lipschitz_constant(kernel: Kernel, domain) -> LipschitzEstimate:
@@ -329,23 +325,22 @@ def lipschitz_constant(kernel: Kernel, domain) -> LipschitzEstimate:
 
 def _grid_lipschitz(kernel: Kernel, lo: float, hi: float) -> LipschitzEstimate:
     """Largest absolute difference quotient on a 10^4-point grid, inflated
-    by a 1.05 safety factor: k(tau) over [0, hi - lo] for isotropic kinds,
-    k(x, z) over a 10^4 x 201 grid of the interval otherwise.  That grid is
-    built _GRID_BLOCK rows at a time; consecutive blocks share one row, so
-    the differences across a block edge are taken too.  Each entry and the
-    maximum are the same as from the whole grid at once, bit for bit."""
+    by a 1.05 safety factor: down the one column k(tau) over [0, hi - lo]
+    for isotropic kinds, down each of the 201 columns k(., z) of the
+    interval otherwise.  The columns are walked one at a time, built by
+    ``_gram`` from features of the 10^4 grid points computed once."""
     if kernel.isotropic:
-        taus = np.linspace(0.0, hi - lo, GRID_POINTS)
-        vals = kernel.iso(taus)
-        slope = float(np.max(np.abs(np.diff(vals)))) / (taus[1] - taus[0])
+        grid = np.linspace(0.0, hi - lo, GRID_POINTS)
+        columns = [kernel.iso(grid)]
     else:
-        xs = np.linspace(lo, hi, GRID_POINTS)
-        zs = np.linspace(lo, hi, 201)
-        steepest = 0.0
-        for i in range(0, GRID_POINTS - 1, _GRID_BLOCK):
-            K = kernel_matrix(kernel, xs[i:i + _GRID_BLOCK + 1], zs)
-            d = np.subtract(K[1:], K[:-1])
-            # np.maximum, unlike max(), carries a nan through
-            steepest = np.maximum(steepest, np.abs(d, out=d).max())
-        slope = steepest / (xs[1] - xs[0])
+        grid = np.linspace(lo, hi, GRID_POINTS)
+        fx = _features(kernel, grid)
+        fz = _features(kernel, np.linspace(lo, hi, 201))
+        columns = (_gram(kernel, fx, z) for z in zip(*fz))
+    steepest = 0.0
+    for column in columns:
+        d = np.diff(column)
+        # np.maximum, unlike max(), carries a nan through
+        steepest = np.maximum(steepest, np.abs(d, out=d).max())
+    slope = steepest / (grid[1] - grid[0])
     return LipschitzEstimate(float(slope * SAFETY_FACTOR), "grid-estimate")

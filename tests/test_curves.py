@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from gpbounds import curves
 from gpbounds.curves import (CurveError, QuadratureError, e1_bound, e2_bound,
                              e_rho_bound, greedy_select_n, monte_carlo_curve,
                              segment_plan)
@@ -217,6 +218,21 @@ def test_monte_carlo_matches_itself_across_runs():
     c = monte_carlo_curve(SE, NOISE, [3, 20], 15, 5, seed=9)
     assert a.rows == b.rows
     assert a.rows != c.rows
+
+
+def test_monte_carlo_computes_each_rows_e1_once(monkeypatch):
+    """The section-size walk takes the row's e1 as its size-1 bound rather
+    than recomputing it; rows 1 and 5 keep size 1, row 60 walks past it."""
+    calls = []
+
+    def spy(kernel, noise_variance, n, quad_tol=1e-9):
+        calls.append(n)
+        return e1_bound(kernel, noise_variance, n, quad_tol)
+
+    monkeypatch.setattr(curves, "e1_bound", spy)
+    table = monte_carlo_curve(SE, NOISE, [0, 1, 5, 60], 5, 2, seed=1)
+    assert calls == [1, 5, 60]
+    assert [row.e_rho == row.e1 for row in table.rows] == [True, True, True, False]
 
 
 def test_monte_carlo_validation():

@@ -422,6 +422,13 @@ def test_cli_config_error_exit_code(tmp_path):
     assert "config error" in res.output
 
 
+def test_cli_empty_config_path_is_read_as_a_path(tmp_path):
+    res = CliRunner().invoke(main, ["variance", "--config", "",
+                                    "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 2
+    assert "cannot read config" in res.output
+
+
 def test_cli_clipped_radius_run_succeeds(tmp_path):
     # at N = 1 the schedule radius 10 is clipped to k/L, and (k/L)*L rounds
     # above k for this kernel; the run must still write its rows

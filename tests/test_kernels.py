@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gpbounds import kernels
 from gpbounds.bounds import bound_report
 from gpbounds.gp import TrainingSet
 from gpbounds.kernels import (ALL_KINDS, GRID_POINTS, ISOTROPIC_KINDS,
@@ -370,7 +369,7 @@ def test_lipschitz_grid_value_rq():
 
 
 def _full_grid_lipschitz(kernel, lo, hi):
-    """The whole 10^4 x 201 grid at once: the oracle for the row blocks."""
+    """The whole 10^4 x 201 grid at once: the oracle for the column walk."""
     xs = np.linspace(lo, hi, GRID_POINTS)
     zs = np.linspace(lo, hi, 201)
     K = kernel_matrix(kernel, xs, zs)
@@ -383,35 +382,26 @@ INNER_PRODUCT_KERNELS = [polynomial(), polynomial(0.3, 5, 2.0),
 
 
 @pytest.mark.parametrize("domain", [(0.5, 1.5), (-2.0, -0.5), (-1.3, 2.7),
-                                    (0.0, 1e-3)])
+                                    (0.0, 1e-3), (1e3, 1e3 + 2.0), (-1e9, 1e9)])
 @pytest.mark.parametrize("kernel", INNER_PRODUCT_KERNELS,
                          ids=["poly", "poly-d5", "nn", "nn-wide"])
 def test_blocked_grid_equals_the_full_grid(kernel, domain):
-    # the 9,999 row differences leave a short last block
-    assert (GRID_POINTS - 1) % kernels._GRID_BLOCK != 0
+    """The grid walked one column at a time gives the whole grid's constant,
+    bit for bit."""
     assert lipschitz_constant(kernel, domain).value == _full_grid_lipschitz(kernel, *domain)
-
-
-@pytest.mark.parametrize("block", [1, 97, GRID_POINTS - 1, GRID_POINTS])
-def test_every_block_size_takes_the_differences_across_block_edges(monkeypatch, block):
-    """With one row per block every difference straddles a block edge."""
-    monkeypatch.setattr(kernels, "_GRID_BLOCK", block)
-    for kernel in (polynomial(), neural_network()):
-        assert (lipschitz_constant(kernel, (-1.3, 2.7)).value
-                == _full_grid_lipschitz(kernel, -1.3, 2.7))
 
 
 @pytest.mark.parametrize("kernel", [polynomial(), neural_network()], ids=["poly", "nn"])
 def test_grid_lipschitz_holds_little_memory(kernel):
-    """The whole grid and its difference copies held 46 MiB; a block holds
-    under half a megabyte."""
+    """The whole grid and its difference copies held 46 MiB; the column walk
+    holds the grid's features and one column, under half a megabyte."""
     tracemalloc.start()
     try:
         lipschitz_constant(kernel, (0.5, 1.5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2 ** 20
+    assert peak <= 2 ** 20
 
 
 def test_lipschitz_value_is_a_python_float():
