@@ -1,7 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 configuration problems, 3 numerical failures
-(factorization or quadrature tolerance).
+Exit codes: 0 success, 2 configuration problems (also a file that cannot
+be read or written), 3 numerical failures (factorization or quadrature
+tolerance).
 """
 
 from __future__ import annotations

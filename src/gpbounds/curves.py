@@ -16,12 +16,15 @@ estimated by Monte Carlo, and three upper bounds on it:
   of any test point inside it, so the ball-count bound applies with the
   exact Beta(n-1, N-n+2) width density of n-1 consecutive spacings.
 
-Each expectation over a width density proportional to (1-d)^alpha d^beta
-is one vectorized pass: a Gauss-Jacobi outer rule (Golub & Welsch, 1969),
-a Gauss-Legendre inner rule, one kernel call on the node grid.  Both rules
-double from 24 x 32 nodes until successive sums agree; the error estimate
-|Q_2m - Q_m| + m eps sum |w_i g_i| (the last term a rounding floor) takes
-its share of ``quad_tol``, and ``QuadratureError`` reports a miss.
+Each bound is k(0) + s minus blocks (g, alpha, beta), one for e1 and e2 and
+three for e_rho (inner sections, left and right boundary).  A block is the
+expectation of g over the width density proportional to (1-d)^alpha d^beta,
+in one vectorized pass: a Gauss-Jacobi outer rule (Golub & Welsch, 1969), a
+Gauss-Legendre inner rule, one kernel call on the node grid.  Both rules
+double from 24 x 32 nodes until successive sums agree within quad_tol / (2B)
+for B blocks; the error estimates |Q_2m - Q_m| + m eps sum |w_i g_i| (the
+last term a rounding floor) are summed, ``QuadratureError`` reports a sum
+past ``quad_tol``, and a block listed twice is integrated once.
 
 ``greedy_select_n`` picks the section size per N by walking n upward while
 the bound still improves.
@@ -78,27 +81,35 @@ def _jacobi_rule(m: int, alpha: int, beta: int):
     return nodes, weights
 
 
-def _expectation(g, alpha: int, beta: int, tol: float) -> tuple[float, float]:
-    """E[g(D)] and its error for D with density proportional to
-    (1 - d)^alpha d^beta on [0, 1].  ``g(d, x, w)`` maps the outer nodes d
-    to values, integrating with the inner rule (x, w) on [0, 1].
-
-    The node counts double per level until two sums agree within ``tol``,
-    or the levels run out; the last sum and its error estimate are returned.
-    """
-    m_out, m_in = _START_NODES
-    prev = None
-    for level in range(_LEVELS):
-        d, wd = _jacobi_rule(m_out << level, alpha, beta)
-        t = wd * g(d, *_jacobi_rule(m_in << level, 0, 0))
-        q = float(np.sum(t))
-        if prev is not None:
-            err = (abs(q - prev)
-                   + t.size * np.finfo(float).eps * float(np.sum(np.abs(t))))
-            if err <= tol:
-                break
-        prev = q
-    return q, err
+def _curve_bound(total: float, blocks, quad_tol: float) -> float:
+    """total minus E[g(D)] per block (g, alpha, beta), D with density
+    proportional to (1 - d)^alpha d^beta on [0, 1]; ``g(d, x, w)`` maps the
+    outer nodes d to values by the inner rule (x, w) on [0, 1]."""
+    tol = quad_tol / (2 * len(blocks))
+    done = {}
+    total_err = 0.0
+    for block in blocks:
+        if block not in done:
+            g, alpha, beta = block
+            m_out, m_in = _START_NODES
+            prev = None
+            for level in range(_LEVELS):
+                d, wd = _jacobi_rule(m_out << level, alpha, beta)
+                t = wd * g(d, *_jacobi_rule(m_in << level, 0, 0))
+                q = float(np.sum(t))
+                if prev is not None:
+                    err = (abs(q - prev) + t.size * np.finfo(float).eps
+                           * float(np.sum(np.abs(t))))
+                    if err <= tol:
+                        break
+                prev = q
+            done[block] = q, err
+        val, err = done[block]
+        total -= val
+        total_err += err
+    if total_err > quad_tol:
+        raise QuadratureError(quad_tol, total_err)
+    return total
 
 
 def _k2_integral(kernel: Kernel, d, lo: float, hi: float, x, w):
@@ -133,10 +144,7 @@ def e1_bound(kernel: Kernel, noise_variance: float, n: int,
         return 2.0 / a * (_k2_integral(kernel, d, 0.0, 1.0, x, w)
                           + (n - 1) * _k2_integral(kernel, d, 0.0, 0.5, x, w))
 
-    val, err = _expectation(per_gap, n - 1, 0, quad_tol / 2.0)
-    if err > quad_tol:
-        raise QuadratureError(quad_tol, err)
-    return a - val
+    return _curve_bound(a, [(per_gap, n - 1, 0)], quad_tol)
 
 
 def e2_bound(kernel: Kernel, noise_variance: float, n: int,
@@ -164,10 +172,7 @@ def e2_bound(kernel: Kernel, noise_variance: float, n: int,
         return (2.0 / a * _k2_integral(kernel, d, 0.0, 1.0, x, w)
                 + 2.0 * (n - 1) * pair)
 
-    val, err = _expectation(per_gap, n - 1, 0, quad_tol / 2.0)
-    if err > quad_tol:
-        raise QuadratureError(quad_tol, err)
-    return a - val
+    return _curve_bound(a, [(per_gap, n - 1, 0)], quad_tol)
 
 
 @dataclass(frozen=True)
@@ -220,25 +225,20 @@ def e_rho_bound(kernel: Kernel, noise_variance: float, n_total: int, n: int,
     if not plan.valid:
         raise CurveError(
             f"no valid section plan for N={n_total}, n={n}; use e1_bound")
-    k0 = kernel.iso(0.0)
-    s = noise_variance
-    total = k0 + s
-    total_err = 0.0
-    for nn, count, scale in (
-            (plan.section_size, plan.section_size, float(plan.inner_sections)),
-            (plan.left_count + 1, plan.left_count, 1.0),
-            (plan.right_count + 1, plan.right_count, 1.0)):
+    k0, s = kernel.iso(0.0), noise_variance
+
+    def block(nn, count, scale):
         # scale * 2 E[int_{d/2}^d k^2] / (k(0) + s/count), with the width of
         # nn - 1 consecutive spacings distributed Beta(nn - 1, N - nn + 2)
         c = scale * 2.0 / (k0 + s / count)
-        val, err = _expectation(
-            lambda d, x, w: c * _k2_integral(kernel, d, 0.5, 1.0, x, w),
-            n_total - nn + 1, nn - 2, quad_tol / 6.0)
-        total -= val
-        total_err += err
-    if total_err > quad_tol:
-        raise QuadratureError(quad_tol, total_err)
-    return total
+        return (lambda d, x, w: c * _k2_integral(kernel, d, 0.5, 1.0, x, w),
+                n_total - nn + 1, nn - 2)
+
+    # equal boundary counts share one block, which is integrated once
+    ends = {c: block(c + 1, c, 1.0) for c in (plan.left_count, plan.right_count)}
+    blocks = [block(plan.section_size, plan.section_size, float(plan.inner_sections)),
+              ends[plan.left_count], ends[plan.right_count]]
+    return _curve_bound(k0 + s, blocks, quad_tol)
 
 
 def _greedy(kernel, noise_variance, n_total, n_start, e1, quad_tol):

@@ -237,10 +237,13 @@ def format_value(v) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(format_value(v) for v in row) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def _config_density(cfg: ExperimentConfig) -> conv.Density:
@@ -402,6 +405,8 @@ def plot_script(csv_path) -> str:
     if header not in _PLOT_STYLES:
         raise ConfigError(f"unrecognized CSV header {','.join(header)!r}")
     x_col = header[0]
+    # gnuplot escapes a quote inside a single-quoted string by doubling it
+    quoted = str(csv_path).replace("'", "''")
     lines = [
         "set datafile separator ','",
         "set datafile missing 'nan'",
@@ -410,7 +415,7 @@ def plot_script(csv_path) -> str:
         "set key left bottom",
     ]
     plots = ", \\\n     ".join(
-        f"'{csv_path}' using '{x_col}':'{col}' with lines title '{title}'"
+        f"'{quoted}' using '{x_col}':'{col}' with lines title '{title}'"
         for col, title in _PLOT_STYLES[header])
     lines.append("plot " + plots)
     return "\n".join(lines) + "\n"

@@ -1,14 +1,15 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from gpbounds import curves
-from gpbounds.curves import (CurveError, QuadratureError, e1_bound, e2_bound,
-                             e_rho_bound, greedy_select_n, monte_carlo_curve,
-                             segment_plan)
+from gpbounds.curves import (CurveError, QuadratureError, _k2_integral,
+                             e1_bound, e2_bound, e_rho_bound, greedy_select_n,
+                             monte_carlo_curve, segment_plan)
 from gpbounds.gp import GPPosterior, TrainingSet
 from gpbounds.kernels import (ISOTROPIC_KINDS, KERNEL_PARAMS, make_kernel,
                               polynomial, squared_exponential)
@@ -125,6 +126,25 @@ def test_e_rho_invalid_plan_instructs_fallback():
         e_rho_bound(SE, NOISE, 5, 4)
 
 
+def test_e_rho_integrates_equal_boundary_blocks_once(monkeypatch):
+    """At N = 20 sections of 2 leave 2 samples at each end, so both
+    boundaries are one block; sections of 3 leave 2 and 3, three blocks.
+    Each block integrated starts with one call on the first outer rule."""
+    sizes = []
+
+    def spy(kernel, d, *args):
+        sizes.append(d.size)
+        return _k2_integral(kernel, d, *args)
+
+    monkeypatch.setattr(curves, "_k2_integral", spy)
+    for n, blocks in ((2, 2), (3, 3)):
+        plan = segment_plan(20, n)
+        assert (plan.left_count, plan.right_count) == (2, n)
+        sizes.clear()
+        e_rho_bound(SE, NOISE, 20, n)
+        assert sizes.count(curves._START_NODES[0]) == blocks
+
+
 def test_e_rho_stays_above_noise_floor():
     for n_total, n in ((10, 2), (50, 3), (200, 5), (1000, 8)):
         assert e_rho_bound(SE, NOISE, n_total, n) >= NOISE - 1e-9
@@ -235,6 +255,32 @@ def test_monte_carlo_computes_each_rows_e1_once(monkeypatch):
     assert [row.e_rho == row.e1 for row in table.rows] == [True, True, True, False]
 
 
+def nystrom_eigenvalues(kernel, m):
+    """Eigenvalues of the kernel's integral operator under the uniform
+    density on [0, 1], by Nystrom on m Gauss-Legendre nodes."""
+    x, w = np.polynomial.legendre.leggauss(m)
+    x, r = (x + 1.0) / 2.0, np.sqrt(w / 2.0)
+    gram = kernel.iso(np.abs(np.subtract.outer(x, x)))
+    return np.linalg.eigvalsh(r[:, None] * gram * r)
+
+
+@pytest.mark.parametrize("kind", ISOTROPIC_KINDS)
+def test_monte_carlo_curve_lies_above_the_spectral_lower_bound(kind):
+    """Opper & Vivarelli (NIPS 1999): e(N) >= s + sum_i l_i s / (s + N l_i)
+    over the operator eigenvalues l_i.  The Nystrom bound on 400 nodes is
+    lowered by its change on doubling to 800, which covers the slow
+    convergence of the Matern-1/2 spectrum (about 6e-4 at N = 300)."""
+    kernel = make_kernel(kind, lengthscale=0.3)
+    table = monte_carlo_curve(kernel, NOISE, [1, 3, 10, 30, 100, 300], 200, 20,
+                              seed=1)
+    coarse, fine = (nystrom_eigenvalues(kernel, m) for m in (400, 800))
+    for row in table.rows:
+        lower = [NOISE + np.sum(lam * NOISE / (NOISE + row.n * lam))
+                 for lam in (coarse, fine)]
+        bound = lower[0] - abs(lower[1] - lower[0])
+        assert row.e_num >= bound - 3.0 * row.e_num_se, (row, bound)
+
+
 def test_monte_carlo_validation():
     with pytest.raises(CurveError):
         monte_carlo_curve(polynomial(), NOISE, [5], 10, 4, seed=1)
@@ -289,10 +335,13 @@ def test_quadrature_honesty():
                - e_rho_bound(SE, NOISE, 500, size, 5e-8)) < 1e-7
 
 
-def test_unreachable_tolerance_is_reported():
+@pytest.mark.parametrize("bound, args", [(e1_bound, (100,)), (e2_bound, (100,)),
+                                         (e_rho_bound, (100, 4))],
+                         ids=["e1_bound", "e2_bound", "e_rho_bound"])
+def test_unreachable_tolerance_is_reported(bound, args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(QuadratureError) as info:
-            e1_bound(SE, NOISE, 100, quad_tol=1e-16)
+            bound(SE, NOISE, *args, quad_tol=1e-16)
     assert info.value.requested == 1e-16
     assert info.value.achieved > 1e-16

@@ -385,6 +385,16 @@ def test_plot_script_for_each_schema(tmp_path):
         assert script.count("with lines") == len(header.split(",")) - 1
 
 
+def test_plot_script_escapes_quotes_in_the_path(tmp_path):
+    """gnuplot writes a quote inside a single-quoted string as two quotes."""
+    path = tmp_path / "q'dir" / "a.csv"
+    path.parent.mkdir()
+    path.write_text("idx,sig_m,sig_bm,sig_bm_gen\n1,1,1,1\n")
+    plot = plot_script(path).split("\nplot ", 1)[1]
+    first = re.match(r"'((?:[^']|'')*)' using ", plot)
+    assert first is not None and first.group(1).replace("''", "'") == str(path)
+
+
 def test_plot_script_rejects_unknown_headers(tmp_path):
     path = tmp_path / "odd.csv"
     path.write_text("a,b\n1,2\n")
@@ -471,6 +481,14 @@ def test_cli_numeric_error_exit_code(tmp_path):
                                     "--out", str(tmp_path / "x.csv")])
     assert res.exit_code == 3
     assert "numerical error" in res.output
+
+
+def test_cli_unwritable_out_exit_code(tmp_path):
+    res = CliRunner().invoke(main, ["variance", "--preset", "variance-uniform-se",
+                                    "--max-n", "5",
+                                    "--out", str(tmp_path / "missing" / "x.csv")])
+    assert res.exit_code == 2
+    assert "cannot write" in res.output
 
 
 def test_cli_variance_numeric_error_exit_code(tmp_path):
