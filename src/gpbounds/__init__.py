@@ -3,10 +3,10 @@ and averaged learning-curve estimates for one-dimensional inputs."""
 
 from .kernels import (ALL_KINDS, ISOTROPIC_KINDS, KERNEL_PARAMS, MATERN_HALF,
                       NEURAL_NETWORK, PERIODIC, POLYNOMIAL, RATIONAL_QUADRATIC,
-                      SQUARED_EXPONENTIAL, Kernel, KernelError,
-                      LipschitzEstimate, kernel_matrix, lipschitz_constant,
-                      make_kernel, matern_half, neural_network, periodic,
-                      polynomial, rational_quadratic, squared_exponential)
+                      SQUARED_EXPONENTIAL, Kernel, KernelError, kernel_matrix,
+                      lipschitz_constant, make_kernel, matern_half,
+                      neural_network, periodic, polynomial, rational_quadratic,
+                      squared_exponential)
 from .gp import FactorizationError, GPPosterior, TrainingSet
 from .bounds import (BoundError, BoundReport, RadiusSchedule, ball_count,
                      bound_report, isotropic_bound, lipschitz_bound,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALL_KINDS", "ISOTROPIC_KINDS", "KERNEL_PARAMS", "MATERN_HALF", "NEURAL_NETWORK",
     "PERIODIC", "POLYNOMIAL", "RATIONAL_QUADRATIC", "SQUARED_EXPONENTIAL",
-    "Kernel", "KernelError", "LipschitzEstimate", "kernel_matrix",
+    "Kernel", "KernelError", "kernel_matrix",
     "lipschitz_constant", "make_kernel", "matern_half", "neural_network",
     "periodic", "polynomial", "rational_quadratic", "squared_exponential",
     "FactorizationError", "GPPosterior", "TrainingSet",

@@ -34,8 +34,6 @@ def ball_count(train: TrainingSet, x, radius: float) -> int:
     """Number of training inputs in the closed ball of the given radius."""
     if not radius >= 0:
         raise BoundError("radius must be non-negative")
-    if train.n == 0:
-        return 0
     dists = np.abs(train.inputs - as_point(x))
     return int(np.sum(dists <= radius))
 
@@ -81,8 +79,8 @@ def isotropic_bound(kernel: Kernel, ballcount: int, radius: float,
                          "an empty ball leaves the prior variance k(0)")
     if not radius >= 0 or not noise_variance > 0:
         raise BoundError("need radius >= 0 and noise_variance > 0")
-    k0 = kernel.iso(0.0)
-    return k0 - kernel.iso(radius) ** 2 / (k0 + noise_variance / ballcount)
+    k0, kr = kernel.iso([0.0, radius]).tolist()
+    return k0 - kr ** 2 / (k0 + noise_variance / ballcount)
 
 
 def one_point_bound(kernel: Kernel, tau: float, noise_variance: float) -> float:
@@ -91,8 +89,8 @@ def one_point_bound(kernel: Kernel, tau: float, noise_variance: float) -> float:
         raise BoundError("one_point_bound needs an isotropic kernel")
     if not (0 <= tau < math.inf and noise_variance > 0):
         raise BoundError("need finite tau >= 0 and noise_variance > 0")
-    k0 = kernel.iso(0.0)
-    return k0 - kernel.iso(tau) ** 2 / (k0 + noise_variance)
+    k0, kt = kernel.iso([0.0, tau]).tolist()
+    return k0 - kt ** 2 / (k0 + noise_variance)
 
 
 def two_point_bound(kernel: Kernel, tau1: float, tau2: float, delta: float,
@@ -112,10 +110,8 @@ def two_point_bound(kernel: Kernel, tau1: float, tau2: float, delta: float,
     slack = 1e-9 * (1.0 + tau1 + tau2)
     if not (abs(tau1 - tau2) - slack <= delta <= tau1 + tau2 + slack):
         raise BoundError("delta violates the triangle inequality for (tau1, tau2)")
-    k0 = kernel.iso(0.0)
+    k0, b, k1, k2 = kernel.iso([0.0, delta, tau1, tau2]).tolist()
     a = k0 + noise_variance
-    b = kernel.iso(delta)
-    k1, k2 = kernel.iso(tau1), kernel.iso(tau2)
     det = a * a - b * b
     return k0 - (a * (k1 * k1 + k2 * k2) - 2.0 * b * k1 * k2) / det
 
@@ -180,18 +176,15 @@ def bound_report(train: TrainingSet, kernel: Kernel, x, radius: float,
                               train.noise_variance)
     iso = one_pt = two_pt = None
     if kernel.decreasing:
-        if count >= 1:
-            iso = isotropic_bound(kernel, count, radius, train.noise_variance)
-        else:
-            iso = kernel.iso(0.0)
+        iso = (isotropic_bound(kernel, count, radius, train.noise_variance)
+               if count >= 1 else kernel.iso(0.0))
     if kernel.isotropic and train.n >= 1:
         dists = np.abs(train.inputs - xp)
         order = np.argsort(dists)
-        one_pt = one_point_bound(kernel, float(dists[order[0]]), train.noise_variance)
+        tau1 = float(dists[order[0]])
+        one_pt = one_point_bound(kernel, tau1, train.noise_variance)
         if train.n >= 2:
-            p1, p2 = train.inputs[order[0]], train.inputs[order[1]]
-            delta = float(abs(p1 - p2))
-            two_pt = two_point_bound(kernel, float(dists[order[0]]),
-                                     float(dists[order[1]]), delta,
+            delta = float(abs(train.inputs[order[0]] - train.inputs[order[1]]))
+            two_pt = two_point_bound(kernel, tau1, float(dists[order[1]]), delta,
                                      train.noise_variance)
     return BoundReport(exact, general, iso, one_pt, two_pt, count)

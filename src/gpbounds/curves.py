@@ -304,8 +304,7 @@ def monte_carlo_curve(kernel: Kernel, noise_variance: float, n_list,
     ns = [int(v) for v in n_list]
     if any(v < 0 for v in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise CurveError("N-list must be strictly increasing and non-negative")
-    k0 = kernel.iso(0.0)
-    prior = k0 + noise_variance
+    prior = kernel.iso(0.0) + noise_variance
     rows = []
     warm = 1
     for n in ns:

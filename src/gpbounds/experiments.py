@@ -17,6 +17,7 @@ ball growth:            n, mean_count, min_count, expected_count
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
@@ -236,6 +237,18 @@ def format_value(v) -> str:
     return format(float(v), ".17g")
 
 
+def _check_writable(path) -> None:
+    """Raise ``write_csv``'s error before a run, not after it; an existing
+    file is only opened for appending, a new one is removed again."""
+    created = not os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+    if created:
+        os.remove(path)
+
+
 def write_csv(path, header, rows) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -261,22 +274,22 @@ def run_variance_experiment(cfg: ExperimentConfig, out_path) -> list[tuple]:
     """
     if cfg.experiment not in _EXPERIMENT_TAGS:
         raise ConfigError("run_variance_experiment needs a variance experiment")
+    _check_writable(out_path)
     tag = _EXPERIMENT_TAGS[cfg.experiment]
     kernel = config_kernel(cfg)
     density = _config_density(cfg)
     schedule = RadiusSchedule(cfg.schedule_c, resolved_schedule_alpha(cfg))
-    lipexpand = lipschitz_constant(kernel, (cfg.domain_lo, cfg.domain_hi))
-    x = cfg.test_point
+    lip = lipschitz_constant(kernel, (cfg.domain_lo, cfg.domain_hi))
     has_iso = kernel.decreasing
     grid = log_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade)
-    radii = radius_at(schedule, grid, kernel, x, lipexpand.value).tolist()
+    radii = radius_at(schedule, grid, kernel, cfg.test_point, lip).tolist()
     rows = []
     for n, rho in zip(grid, radii):
         acc_exact = acc_gen = acc_iso = 0.0
         for i in range(cfg.datasets):
             train = TrainingSet(density.sample(n, [cfg.seed, tag, n, i]),
                                 cfg.noise_variance)
-            rep = bound_report(train, kernel, x, rho, lipexpand.value)
+            rep = bound_report(train, kernel, cfg.test_point, rho, lip)
             acc_exact += rep.exact
             acc_gen += rep.lipschitz
             if has_iso:
@@ -292,6 +305,7 @@ def run_learning_curve(cfg: ExperimentConfig, out_path):
     """Monte-Carlo learning curve plus the three bounds over the N grid."""
     if cfg.experiment != LEARNING_CURVE:
         raise ConfigError("run_learning_curve needs experiment = learning-curve")
+    _check_writable(out_path)
     kernel = config_kernel(cfg)
     grid = log_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade)
     table = monte_carlo_curve(kernel, cfg.noise_variance, grid,
@@ -308,6 +322,7 @@ def run_convergence_check(cfg: ExperimentConfig, out_path) -> conv.ConvergenceVe
     """Schedule/density verdict plus a sampled ball-growth table."""
     if cfg.experiment != CONVERGENCE_CHECK:
         raise ConfigError("run_convergence_check needs experiment = convergence-check")
+    _check_writable(out_path)
     density = _config_density(cfg)
     schedule = RadiusSchedule(cfg.schedule_c, cfg.schedule_alpha)
     verdict = conv.check_theorem32(density, cfg.test_point, schedule,
@@ -316,8 +331,8 @@ def run_convergence_check(cfg: ExperimentConfig, out_path) -> conv.ConvergenceVe
     grid = log_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade)
     growth = conv.empirical_ball_growth(density, cfg.test_point, schedule,
                                         grid, cfg.trials, cfg.seed)
-    rows = [(g.n, g.mean_count, g.min_count, g.expected_count) for g in growth]
-    write_csv(out_path, GROWTH_HEADER, rows)
+    write_csv(out_path, GROWTH_HEADER,
+              [(g.n, g.mean_count, g.min_count, g.expected_count) for g in growth])
     return verdict
 
 
@@ -378,11 +393,8 @@ def preset_config(name: str) -> ExperimentConfig:
 
 def apply_overrides(cfg: ExperimentConfig, seed: int | None = None,
                     n_max: int | None = None) -> ExperimentConfig:
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
-    if n_max is not None:
-        cfg = replace(cfg, n_max=n_max)
-    return cfg
+    given = {"seed": seed, "n_max": n_max}
+    return replace(cfg, **{k: v for k, v in given.items() if v is not None})
 
 
 _PLOT_STYLES = {

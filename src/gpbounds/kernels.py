@@ -121,34 +121,33 @@ class Kernel:
             raise KernelError("tau must be non-negative")
         s2, l = self.signal_variance, self.lengthscale
         # The steps and their order are those of the one-line forms, so they
-        # round the same.  For an array the first step makes a buffer that
-        # every later step changes in place; for a scalar v is a numpy float,
-        # which the augmented operators rebind and ufuncs take fastest
-        # without out=.
+        # round the same.  The first writes a buffer of tau's shape (0-d for
+        # a scalar) that every later step changes in place, so a scalar gets
+        # the bits of the array entry.
+        v = np.empty(t.shape)
         if self.kind == RATIONAL_QUADRATIC:
-            a = self.alpha
-            v = t * t                   # s2 (1 + t^2 / (2 a l^2))^-a
-            v /= 2.0 * a * l * l
+            np.multiply(t, t, out=v)    # s2 (1 + t^2 / (2 a l^2))^-a
+            v /= 2.0 * self.alpha * l * l
             v += 1.0
-            v **= -a
+            v **= -self.alpha
         else:
             if self.kind == SQUARED_EXPONENTIAL:
-                v = t / l               # s2 exp(-(t / l)^2 / 2)
+                np.divide(t, l, out=v)  # s2 exp(-(t / l)^2 / 2)
                 v **= 2
                 v *= -0.5
             elif self.kind == MATERN_HALF:
-                v = -t                  # s2 exp(-t / l)
+                np.negative(t, out=v)   # s2 exp(-t / l)
                 v /= l
             else:
-                v = np.pi * t           # s2 exp(-2 sin^2(pi t / p) / l^2)
+                np.multiply(np.pi, t, out=v)  # s2 exp(-2 sin^2(pi t / p) / l^2)
                 v /= self.period
-                v = np.sin(v, out=v) if t.ndim else np.sin(v)
+                np.sin(v, out=v)
                 v **= 2
                 v *= -2.0
                 v /= l * l
-            v = np.exp(v, out=v) if t.ndim else np.exp(v)
+            np.exp(v, out=v)
         v *= s2
-        return float(v) if t.ndim == 0 else v
+        return float(v) if v.ndim == 0 else v
 
     def __call__(self, x, z) -> float:
         """Evaluate k(x, z) for a pair of points: the entry of their Gram."""
@@ -283,47 +282,34 @@ def make_kernel(kind: str, **params) -> Kernel:
     return Kernel(kind, **params)
 
 
-@dataclass(frozen=True)
-class LipschitzEstimate:
-    """A per-argument Lipschitz constant with the method that produced it."""
-
-    value: float
-    method: str          # "analytic" or "grid-estimate"
-
-
-def _as_interval(domain) -> tuple[float, float]:
-    ends = np.asarray(domain, dtype=float)
-    if ends.shape != (2,) or not np.all(np.isfinite(ends)) or ends[1] < ends[0]:
-        raise KernelError("domain must be a finite interval (lo, hi) with lo <= hi")
-    return float(ends[0]), float(ends[1])
-
-
 GRID_POINTS = 10_000
 SAFETY_FACTOR = 1.05
 
 
-def lipschitz_constant(kernel: Kernel, domain) -> LipschitzEstimate:
+def lipschitz_constant(kernel: Kernel, domain) -> float:
     """Upper bound on |k(x, z) - k(x', z)| / |x - x'| over an interval (lo, hi).
 
     Closed forms exist for the squared-exponential (s2 * e^(-1/2) / l, the
     maximum of tau * exp(-tau^2/2)) and the Matern-1/2 (s2 / l, the one-sided
     slope at tau -> 0+).  Every other kind is estimated on a grid (see
-    ``_grid_lipschitz``) and quoted with method "grid-estimate".  A
-    single-point domain admits any constant, so 0 is returned and quoted as
-    analytic.
+    ``_grid_lipschitz``).  A single-point domain admits any constant, so 0 is
+    returned.
     """
-    lo, hi = _as_interval(domain)
+    ends = np.asarray(domain, dtype=float)
+    if ends.shape != (2,) or not np.all(np.isfinite(ends)) or ends[1] < ends[0]:
+        raise KernelError("domain must be a finite interval (lo, hi) with lo <= hi")
+    lo, hi = ends.tolist()
     if hi == lo:
-        return LipschitzEstimate(0.0, "analytic")
+        return 0.0
     s2, l = kernel.signal_variance, kernel.lengthscale
     if kernel.kind == SQUARED_EXPONENTIAL:
-        return LipschitzEstimate(s2 * math.exp(-0.5) / l, "analytic")
+        return float(s2 * math.exp(-0.5) / l)
     if kernel.kind == MATERN_HALF:
-        return LipschitzEstimate(s2 / l, "analytic")
+        return float(s2 / l)
     return _grid_lipschitz(kernel, lo, hi)
 
 
-def _grid_lipschitz(kernel: Kernel, lo: float, hi: float) -> LipschitzEstimate:
+def _grid_lipschitz(kernel: Kernel, lo: float, hi: float) -> float:
     """Largest absolute difference quotient on a 10^4-point grid, inflated
     by a 1.05 safety factor: down the one column k(tau) over [0, hi - lo]
     for isotropic kinds, down each of the 201 columns k(., z) of the
@@ -342,5 +328,4 @@ def _grid_lipschitz(kernel: Kernel, lo: float, hi: float) -> LipschitzEstimate:
         d = np.diff(column)
         # np.maximum, unlike max(), carries a nan through
         steepest = np.maximum(steepest, np.abs(d, out=d).max())
-    slope = steepest / (grid[1] - grid[0])
-    return LipschitzEstimate(float(slope * SAFETY_FACTOR), "grid-estimate")
+    return float(steepest / (grid[1] - grid[0]) * SAFETY_FACTOR)

@@ -101,7 +101,7 @@ def test_criterion_02_bounds_dominate_exact_variance():
             noise = float(rng.uniform(0.01, 0.5))
             train = TrainingSet(rng.uniform(0.5, 1.5, n), noise)
             x = float(rng.uniform(0.5, 1.5))
-            lip = lipschitz_constant(kernel, (0.5, 1.5)).value
+            lip = lipschitz_constant(kernel, (0.5, 1.5))
             radius = float(rng.uniform(0.01, 0.6))
             if lip > 0:
                 radius = min(radius, 0.99 * kernel.prior_variance(x) / lip)

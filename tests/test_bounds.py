@@ -10,10 +10,10 @@ from gpbounds.bounds import (BoundError, RadiusSchedule, ball_count,
 from gpbounds.experiments import (PRESETS, config_kernel, log_grid,
                                   preset_config, resolved_schedule_alpha)
 from gpbounds.gp import GPPosterior, TrainingSet
-from gpbounds.kernels import (ALL_KINDS, KERNEL_PARAMS, lipschitz_constant,
-                              make_kernel, matern_half, neural_network,
-                              periodic, polynomial, rational_quadratic,
-                              squared_exponential)
+from gpbounds.kernels import (ALL_KINDS, KERNEL_PARAMS, Kernel,
+                              lipschitz_constant, make_kernel, matern_half,
+                              neural_network, periodic, polynomial,
+                              rational_quadratic, squared_exponential)
 
 DOMAIN = (0.5, 1.5)
 ISO_DECREASING = (squared_exponential, matern_half, rational_quadratic)
@@ -52,7 +52,7 @@ def test_lipschitz_bound_empty_ball_is_prior():
     assert lipschitz_bound(k, 0.6, 1.0, 0, 0.5, 0.1) == 1.0
     knn = neural_network()
     prior = knn.prior_variance(1.0)
-    L = lipschitz_constant(knn, DOMAIN).value
+    L = lipschitz_constant(knn, DOMAIN)
     assert math.isclose(lipschitz_bound(knn, L, 1.0, 0, 0.0, 0.1), prior,
                         rel_tol=1e-14)
 
@@ -176,6 +176,35 @@ def test_two_points_never_worse_than_the_nearest_alone():
         assert two <= one_point_bound(k, float(t1), 0.1) + 1e-12
 
 
+@pytest.mark.parametrize("factory", [squared_exponential, matern_half,
+                                     rational_quadratic, periodic])
+def test_each_pointwise_bound_reads_k_from_one_iso_call(factory, monkeypatch):
+    """isotropic_bound, one_point_bound and two_point_bound each take k(0)
+    and their distances' k from one k.iso call, so their formulas see the
+    entries of one array."""
+    kernel = factory(0.4, 1.3)
+    iso, calls = Kernel.iso, []
+
+    def spy(self, tau):
+        calls.append(tau)
+        return iso(self, tau)
+
+    monkeypatch.setattr(Kernel, "iso", spy)
+    k0, a, b, c = iso(kernel, [0.0, 0.31, 0.47, 0.16])
+    cases = [
+        (lambda: one_point_bound(kernel, 0.31, 0.1), k0 - a ** 2 / (k0 + 0.1)),
+        (lambda: two_point_bound(kernel, 0.31, 0.47, 0.16, 0.1),
+         k0 - ((k0 + 0.1) * (a * a + b * b) - 2.0 * c * a * b)
+         / ((k0 + 0.1) ** 2 - c * c)),
+    ]
+    if kernel.decreasing:
+        cases.append((lambda: isotropic_bound(kernel, 3, 0.31, 0.1),
+                      k0 - a ** 2 / (k0 + 0.1 / 3)))
+    for bound, want in cases:
+        calls.clear()
+        assert bound() == want and len(calls) == 1
+
+
 SE = squared_exponential()
 NAN = math.nan
 
@@ -224,7 +253,7 @@ def test_radius_schedule_validation():
 
 def test_radius_at_clips_to_prior_over_lipschitz():
     k = squared_exponential()
-    L = lipschitz_constant(k, DOMAIN).value
+    L = lipschitz_constant(k, DOMAIN)
     rho = radius_at(RadiusSchedule(100.0, 0.5), 1, k, 1.0, L)
     assert math.isclose(rho, 1.0 / L, rel_tol=1e-14)
     # L = 0 disables the clip
@@ -241,7 +270,7 @@ def test_radius_at_over_a_grid_equals_the_scalar_calls(preset):
     schedule = RadiusSchedule(cfg.schedule_c, resolved_schedule_alpha(cfg))
     grid = log_grid(cfg.n_min, cfg.n_max, cfg.points_per_decade)
     raw = schedule.raw(grid)
-    L = lipschitz_constant(kernel, (cfg.domain_lo, cfg.domain_hi)).value
+    L = lipschitz_constant(kernel, (cfg.domain_lo, cfg.domain_hi))
     halfway = kernel.prior_variance(x) / float(np.median(raw))
     for lip in (0.0, L, halfway):
         radii = radius_at(schedule, grid, kernel, x, lip)
@@ -255,7 +284,7 @@ def test_clipped_radius_passes_the_precondition():
     # (k/L)*L rounds above k for this pair; the guard must test the same
     # k/L that radius_at clips to
     k = matern_half(0.2, 1.98)
-    L = lipschitz_constant(k, DOMAIN).value
+    L = lipschitz_constant(k, DOMAIN)
     rho = radius_at(RadiusSchedule(10.0, 0.5), 1, k, 1.0, L)
     assert rho == k.prior_variance(1.0) / L
     val = lipschitz_bound(k, L, 1.0, 1, rho, 0.1)
@@ -273,7 +302,7 @@ def test_radius_schedule_non_increasing():
 def test_scheduled_general_bound_converges():
     """With an admissible schedule the general bound falls toward zero."""
     k = squared_exponential()
-    L = lipschitz_constant(k, DOMAIN).value
+    L = lipschitz_constant(k, DOMAIN)
     sched = RadiusSchedule(1.0, 1.0 / 3.0)
     prev = math.inf
     for n in (10, 100, 1000, 10 ** 4, 10 ** 5, 10 ** 6):
@@ -290,7 +319,7 @@ def test_scheduled_general_bound_converges():
 def test_bound_report_empty_ball_quotes_prior_for_isotropic():
     train = TrainingSet([1.4], 0.1)
     k = squared_exponential()
-    L = lipschitz_constant(k, DOMAIN).value
+    L = lipschitz_constant(k, DOMAIN)
     rep = bound_report(train, k, 1.0, 0.1, L)
     assert rep.ball == 0
     assert rep.isotropic == 1.0
@@ -300,7 +329,7 @@ def test_bound_report_empty_ball_quotes_prior_for_isotropic():
 def test_bound_report_non_isotropic_fields_absent():
     train = TrainingSet([0.9, 1.1], 0.1)
     k = neural_network()
-    L = lipschitz_constant(k, DOMAIN).value
+    L = lipschitz_constant(k, DOMAIN)
     rep = bound_report(train, k, 0.05, 0.05, L)
     assert rep.isotropic is None
     assert rep.one_point is None and rep.two_point is None
@@ -316,7 +345,7 @@ def test_bound_report_validity_sweep():
         n = int(rng.integers(1, 60))
         train = TrainingSet(rng.uniform(0.5, 1.5, n), float(rng.uniform(0.01, 0.5)))
         x = float(rng.uniform(0.5, 1.5))
-        L = lipschitz_constant(k, DOMAIN).value
+        L = lipschitz_constant(k, DOMAIN)
         rho = float(rng.uniform(0.0, k.prior_variance(x) / L))
         rep = bound_report(train, k, x, rho, L)
         floor = rep.exact - 1e-10
@@ -348,7 +377,7 @@ def test_bound_report_fields_dominate_exact_variance(kernel, inputs, noise, x,
     """Every bound is an upper bound at the radius the runners use, which
     radius_at clips to k(x,x)/L when the schedule asks for more."""
     train = TrainingSet(inputs, noise)
-    L = lipschitz_constant(kernel, DOMAIN).value
+    L = lipschitz_constant(kernel, DOMAIN)
     rho = radius_at(RadiusSchedule(coefficient, exponent), train.n, kernel, x, L)
     rep = bound_report(train, kernel, x, rho, L)
     floor = rep.exact - 1e-10 * max(1.0, rep.exact)

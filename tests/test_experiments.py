@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from gpbounds import experiments
+from gpbounds.bounds import bound_report
 from gpbounds.cli import main
 from gpbounds.experiments import (EXPERIMENTS, ConfigError, ExperimentConfig,
                                   PRESETS, format_value, load_config, log_grid,
@@ -225,6 +227,31 @@ def test_convergence_check_takes_no_kernel(tmp_path, key, value):
     assert not (tmp_path / "g.csv").exists()
 
 
+_VALID_BASES = {"variance-uniform": dict(kernel="squared-exponential"),
+                "learning-curve": dict(kernel="squared-exponential"),
+                "convergence-check": dict(schedule_alpha=0.5)}
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ("variance-uniform", "noise_variance", 0.0),
+    ("variance-uniform", "schedule_c", -1.0),
+    ("learning-curve", "quad_tol", 0.0),
+    ("variance-uniform", "points_per_decade", 0),
+    ("variance-uniform", "datasets", 0),
+    ("learning-curve", "datasets", 1),
+    ("learning-curve", "test_points", 0),
+    ("convergence-check", "witness_epsilon", 0.0),
+    ("convergence-check", "witness_epsilon", 1.0),
+    ("convergence-check", "witness_c", 0.0),
+    ("convergence-check", "trials", 0),
+])
+def test_each_range_check_names_its_key(experiment, key, value):
+    ExperimentConfig(experiment=experiment, **_VALID_BASES[experiment])
+    with pytest.raises(ConfigError, match=f"config key '{key}'"):
+        ExperimentConfig(experiment=experiment, **_VALID_BASES[experiment],
+                         **{key: value})
+
+
 def test_validation_convergence_needs_explicit_exponent():
     with pytest.raises(ConfigError, match="schedule_alpha"):
         base(experiment="convergence-check", kernel="")
@@ -364,7 +391,29 @@ def test_convergence_runner(tmp_path):
     assert lines[1].startswith("1,")
 
 
+def test_explicit_schedule_alpha_sets_the_radii(tmp_path, monkeypatch):
+    """Without schedule_alpha the variance-uniform squared-exponential
+    schedule is N^(-1/3); an explicit exponent replaces it.  c = 1 stays
+    below k(x, x)/L, so no radius is clipped."""
+    radii = {}
+
+    def spy(train, kernel, x, radius, lipschitz):
+        radii[train.n] = radius
+        return bound_report(train, kernel, x, radius, lipschitz)
+
+    monkeypatch.setattr(experiments, "bound_report", spy)
+    for alpha, want in [(None, 1.0 / 3.0), (0.9, 0.9)]:
+        radii.clear()
+        run_variance_experiment(small_variance_cfg(schedule_alpha=alpha),
+                                tmp_path / "x.csv")
+        assert sorted(radii) == log_grid(1, 25, 25)
+        for n, rho in radii.items():
+            assert math.isclose(rho, n ** -want, rel_tol=1e-15), (alpha, n)
+
+
 def test_runner_experiment_mismatch(tmp_path):
+    with pytest.raises(ConfigError, match="needs a variance experiment"):
+        run_variance_experiment(preset_config("convergence-uniform"), tmp_path / "x.csv")
     with pytest.raises(ConfigError):
         run_learning_curve(small_variance_cfg(), tmp_path / "x.csv")
     with pytest.raises(ConfigError):
@@ -489,6 +538,45 @@ def test_cli_unwritable_out_exit_code(tmp_path):
                                     "--out", str(tmp_path / "missing" / "x.csv")])
     assert res.exit_code == 2
     assert "cannot write" in res.output
+
+
+@pytest.mark.parametrize("command, preset", [
+    ("variance", "variance-uniform-matern"),
+    ("learning-curve", "learning-curve-matern"),
+    ("convergence", "convergence-uniform"),
+])
+def test_cli_unwritable_out_fails_before_the_run(tmp_path, monkeypatch,
+                                                 command, preset):
+    """The output is opened before the runner's set-up, so an unwritable
+    --out exits 2 without reaching the grid or the row loop."""
+    def never(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(experiments, "log_grid", never)
+    monkeypatch.setattr(experiments, "bound_report", never)
+    res = CliRunner().invoke(main, [command, "--preset", preset,
+                                    "--out", str(tmp_path / "missing" / "x.csv")])
+    assert res.exit_code == 2, res.output
+    assert "cannot write" in res.output
+
+
+def test_cli_numeric_failure_keeps_an_existing_out(tmp_path):
+    """A run that fails after the output check leaves a file already at
+    --out as it was, and nothing at a path that did not exist."""
+    cfg = tmp_path / "singular.cfg"
+    cfg.write_text("experiment = variance-uniform\n"
+                   "kernel = squared-exponential\n"
+                   "noise_variance = 1e-300\n"
+                   "n_min = 40\nn_max = 40\ndatasets = 2\n")
+    earlier = "idx,sig_m,sig_bm,sig_bm_gen\n1,0.5,0.6,0.7\n"
+    kept, fresh = tmp_path / "kept.csv", tmp_path / "fresh.csv"
+    kept.write_text(earlier)
+    for out in (kept, fresh):
+        res = CliRunner().invoke(main, ["variance", "--config", str(cfg),
+                                        "--out", str(out)])
+        assert res.exit_code == 3, res.output
+    assert kept.read_text() == earlier
+    assert not fresh.exists()
 
 
 def test_cli_variance_numeric_error_exit_code(tmp_path):
