@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 configuration problems (also a file that cannot
-be read or written), 3 numerical failures (factorization or quadrature
-tolerance).
+be read or written), 3 numerical failures (a training covariance that is
+not finite or cannot be factored, or a missed quadrature tolerance).
 """
 
 from __future__ import annotations

@@ -56,8 +56,10 @@ _RANK_CAP_DIVISOR = 4
 _RESIDUAL_NOISE_RTOL = 1e-9
 
 
-class FactorizationError(RuntimeError):
-    """The regularized covariance could not be Cholesky-factored."""
+class FactorizationError(RuntimeError, ValueError):
+    """The regularized covariance could not be Cholesky-factored: it is not
+    finite, or not positive definite.  A ValueError too, as numpy's
+    LinAlgError is."""
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,8 @@ class GPPosterior:
         A = np.zeros((n, n), order="F")
         for j in range(0, n, _GRAM_BLOCK):
             A[j:, j:j + _GRAM_BLOCK] = _checked(kernel_matrix(
-                self.kernel, X[j:j + _GRAM_BLOCK], X[j:]), "covariance matrix").T
+                self.kernel, X[j:j + _GRAM_BLOCK], X[j:]), "covariance matrix",
+                FactorizationError).T
         A.flat[::n + 1] += self.train.noise_variance
         return _cholesky(A)
 
@@ -179,9 +182,9 @@ class GPPosterior:
         return float(k_x @ self._alpha)
 
 
-def _checked(block: np.ndarray, what: str) -> np.ndarray:
+def _checked(block: np.ndarray, what: str, error=ValueError) -> np.ndarray:
     if not np.isfinite(block).all():
-        raise ValueError(f"{what} must be finite")
+        raise error(f"{what} must be finite")
     return block
 
 
@@ -222,24 +225,26 @@ def _pivoted_cholesky(kernel: Kernel, X: np.ndarray, s: float):
 
     Each step takes the point of largest residual diagonal as the next
     pivot and adds its residual column, scaled by the pivot's square root.
+    The diagonal is checked before the loop and Phi after it: a column that
+    is not finite leaves a nan or inf in its row, and no check runs per step.
     """
     n = X.size
-    d = kernel_diagonal(kernel, X)
+    d = _checked(kernel_diagonal(kernel, X), "covariance matrix", FactorizationError)
     stop = _PIVOT_RTOL * d.max()
     Phi = np.empty((n // _RANK_CAP_DIVISOR, n))
     column = gram_columns(kernel, X)
     square = np.empty(n)
     pivots = []
     for m in range(len(Phi)):
-        i = int(np.argmax(d))
+        i = int(d.argmax())
         if d[i] <= stop:
             break
-        row = np.subtract(_checked(column(i), "covariance matrix"),
-                          Phi[:m, i] @ Phi[:m], out=Phi[m])
+        row = np.subtract(column(i), Phi[:m, i] @ Phi[:m], out=Phi[m])
         row /= math.sqrt(d[i])
         d -= np.multiply(row, row, out=square)
         d[i] = 0.0      # exactly, where rounding would leave a few ulps
         pivots.append(i)
+    Phi = _checked(Phi[:len(pivots)], "covariance matrix", FactorizationError)
     if n * d.max() > _RESIDUAL_NOISE_RTOL * s:
         return None
-    return np.array(pivots, dtype=np.intp), Phi[:len(pivots)]
+    return np.array(pivots, dtype=np.intp), Phi

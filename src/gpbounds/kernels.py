@@ -119,6 +119,12 @@ class Kernel:
         t = np.asarray(tau, dtype=float)
         if np.any(t < 0):
             raise KernelError("tau must be non-negative")
+        v = self._iso(t)
+        return float(v) if v.ndim == 0 else v
+
+    def _iso(self, t: np.ndarray) -> np.ndarray:
+        """k(t) for a float array t, unchecked: ``iso`` checks the kind and
+        t >= 0 first, and ``_gram`` passes |x - z|, which is never negative."""
         s2, l = self.signal_variance, self.lengthscale
         # The steps and their order are those of the one-line forms, so they
         # round the same.  The first writes a buffer of tau's shape (0-d for
@@ -147,7 +153,7 @@ class Kernel:
                 v /= l * l
             np.exp(v, out=v)
         v *= s2
-        return float(v) if v.ndim == 0 else v
+        return v
 
     def __call__(self, x, z) -> float:
         """Evaluate k(x, z) for a pair of points: the entry of their Gram."""
@@ -178,7 +184,7 @@ def _gram(kernel: Kernel, fx, fz) -> np.ndarray:
     against (m,) gives a Gram, (n,) against (n,) its diagonal and (n,)
     against scalars one column, entry for entry the same arithmetic.
 
-    isotropic:       k.iso(|x - z|)
+    isotropic:       k(|x - z|) by the arithmetic of ``Kernel.iso``
     periodic:        s2 exp(-2 sin^2(b_x - b_z) / l^2), with
                      sin(b_x - b_z) = sin b_x cos b_z - cos b_x sin b_z; the
                      two products are the same pair with x and z swapped,
@@ -202,7 +208,7 @@ def _gram(kernel: Kernel, fx, fz) -> np.ndarray:
         return s
     if kernel.isotropic:
         t = np.subtract(fx[0], fz[0])
-        return kernel.iso(np.abs(t, out=t))
+        return kernel._iso(np.abs(t, out=t))
     (x, a_x), (z, a_z) = fx, fz
     s = x * z
     s *= kernel.weight_variance

@@ -532,6 +532,31 @@ def test_cli_numeric_error_exit_code(tmp_path):
     assert "numerical error" in res.output
 
 
+@pytest.mark.parametrize("command, text", [
+    ("variance", "experiment = variance-uniform\nkernel = neural-network\n"
+                 "domain_lo = 1e155\ndomain_hi = 2e155\ntest_point = 1.5e155\n"
+                 "n_max = 30\ndatasets = 2\n"),
+    ("variance", "experiment = variance-uniform\nkernel = polynomial\n"
+                 "domain_lo = 1e80\ndomain_hi = 2e80\ntest_point = 1.5e80\n"),
+    ("learning-curve", "experiment = learning-curve\nkernel = periodic\n"
+                       "lengthscale = 1e-200\nn_max = 5\n"),
+], ids=["neural-network-overflow", "polynomial-overflow", "periodic-zero-l2"])
+def test_cli_non_finite_covariance_exit_code(tmp_path, command, text):
+    """A config that passes validation but whose kernel values overflow, or
+    are 0/0 once l^2 underflows to 0, is a numerical failure: exit code 3,
+    one error line naming the covariance, and an existing --out kept."""
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "kept.csv"
+    out.write_text("earlier\n")
+    with np.errstate(all="ignore"):
+        res = CliRunner().invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    assert [line for line in res.output.splitlines() if "error" in line] == [
+        "numerical error: covariance matrix must be finite"]
+    assert out.read_text() == "earlier\n"
+
+
 def test_cli_unwritable_out_exit_code(tmp_path):
     res = CliRunner().invoke(main, ["variance", "--preset", "variance-uniform-se",
                                     "--max-n", "5",

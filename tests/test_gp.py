@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 import gpbounds.gp as gp
 from gpbounds.gp import _GRAM_BLOCK, FactorizationError, GPPosterior, TrainingSet
-from gpbounds.kernels import (KERNEL_PARAMS, KernelError, _features, _gram,
+from gpbounds.kernels import (KERNEL_PARAMS, Kernel, KernelError, _features, _gram,
                               gram_columns, kernel_diagonal, kernel_matrix,
                               lipschitz_constant, make_kernel, matern_half,
                               neural_network, periodic, polynomial,
@@ -295,9 +296,9 @@ def test_non_finite_query_is_rejected():
 
 def test_non_finite_covariance_is_rejected_on_both_routes(monkeypatch):
     """A training point at 1e200 gives the neural-network kernel a nan at
-    k(x, x).  At N = 200 the pivot loop picks that point first and its
-    checked column raises before any dense factor is built; at N = 20 a
-    checked block of the dense factor raises the same error."""
+    k(x, x).  At N = 200 the checked kernel diagonal raises before the first
+    pivot and before any dense factor is built; at N = 20 a checked block of
+    the dense factor raises the same error."""
     rng = np.random.default_rng(34)
     k = neural_network()
     for n in (200, 20):
@@ -309,6 +310,61 @@ def test_non_finite_covariance_is_rejected_on_both_routes(monkeypatch):
             with np.errstate(invalid="ignore", over="ignore"):
                 with pytest.raises(ValueError, match="covariance matrix must be finite"):
                     GPPosterior(TrainingSet(X, 0.1), k)
+
+
+def test_pivot_loop_rejects_a_non_finite_column(monkeypatch):
+    """The pivot loop checks Phi once after its last step, not each column:
+    an inf or a nan in the first or a later column still raises before any
+    dense factor is built."""
+    X = np.linspace(0.5, 1.5, 200)
+    for bad, step in itertools.product((np.inf, np.nan), (0, 3)):
+        def spoiled_columns(kernel, X):
+            column, calls = gram_columns(kernel, X), []
+
+            def spoiled(j):
+                calls.append(j)
+                c = column(j)
+                if len(calls) == step + 1:
+                    c[7] = bad
+                return c
+            return spoiled
+
+        with monkeypatch.context() as m:
+            m.setattr(gp, "gram_columns", spoiled_columns)
+            m.setattr(GPPosterior, "_dense_factor", lambda self: pytest.fail("dense"))
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(FactorizationError, match="covariance matrix must be finite"):
+                    GPPosterior(TrainingSet(X, 0.1), squared_exponential(0.3))
+
+
+def test_grams_and_posteriors_do_not_call_iso(monkeypatch):
+    """Gram blocks, diagonals, pivot columns and both posterior routes take
+    k(tau) from the arithmetic of ``Kernel.iso`` without calling it, so
+    without its tau >= 0 scan: with ``iso`` made to raise, each gives the
+    bits it gave before."""
+    rng = np.random.default_rng(21)
+    X, Z = rng.uniform(0.5, 1.5, 40), rng.uniform(0.5, 1.5, 30)
+    trains = [TrainingSet(rng.uniform(0.5, 1.5, n), 0.1) for n in (20, 300)]
+    queries = rng.uniform(0.5, 1.5, 200)
+
+    def results():
+        out = []
+        for kind in KINDS:
+            k = make_kernel(kind)
+            column = gram_columns(k, X)
+            out += [kernel_matrix(k, X, Z), kernel_diagonal(k, X), column(0), column(39)]
+        posts = [GPPosterior(train, squared_exponential(0.3)) for train in trains]
+        assert [post.rank is None for post in posts] == [True, False]
+        return out + [post.variance_batch(queries) for post in posts]
+
+    before = results()
+
+    def refuse(self, tau):
+        raise AssertionError("Kernel.iso called")
+
+    monkeypatch.setattr(Kernel, "iso", refuse)
+    for old, new in zip(before, results(), strict=True):
+        assert old.tobytes() == new.tobytes()
 
 
 SMOOTH_KINDS = tuple(kind for kind in KINDS if kind != "matern-1/2")
