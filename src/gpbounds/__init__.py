@@ -4,8 +4,8 @@ and averaged learning-curve estimates for one-dimensional inputs."""
 from .kernels import (ALL_KINDS, ISOTROPIC_KINDS, KERNEL_PARAMS, MATERN_HALF,
                       NEURAL_NETWORK, PERIODIC, POLYNOMIAL, RATIONAL_QUADRATIC,
                       SQUARED_EXPONENTIAL, Kernel, KernelError, kernel_matrix,
-                      lipschitz_constant, make_kernel, matern_half,
-                      neural_network, periodic, polynomial, rational_quadratic,
+                      lipschitz_constant, matern_half, neural_network,
+                      periodic, polynomial, rational_quadratic,
                       squared_exponential)
 from .gp import FactorizationError, GPPosterior, TrainingSet
 from .bounds import (BoundError, BoundReport, RadiusSchedule, ball_count,
@@ -30,7 +30,7 @@ __all__ = [
     "ALL_KINDS", "ISOTROPIC_KINDS", "KERNEL_PARAMS", "MATERN_HALF", "NEURAL_NETWORK",
     "PERIODIC", "POLYNOMIAL", "RATIONAL_QUADRATIC", "SQUARED_EXPONENTIAL",
     "Kernel", "KernelError", "kernel_matrix",
-    "lipschitz_constant", "make_kernel", "matern_half", "neural_network",
+    "lipschitz_constant", "matern_half", "neural_network",
     "periodic", "polynomial", "rational_quadratic", "squared_exponential",
     "FactorizationError", "GPPosterior", "TrainingSet",
     "BoundError", "BoundReport", "RadiusSchedule", "ball_count",

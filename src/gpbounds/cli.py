@@ -11,6 +11,7 @@ import sys
 from dataclasses import replace
 
 import click
+import numpy as np
 
 from .curves import QuadratureError
 from .experiments import (ConfigError, ExperimentConfig, PRESETS,
@@ -52,8 +53,11 @@ class _ExitCodeGroup(click.Group):
     command below the group."""
 
     def invoke(self, ctx):
+        # a kernel value that overflows is reported by the finite checks as
+        # one error line, not as numpy warnings ahead of it
         try:
-            return super().invoke(ctx)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                return super().invoke(ctx)
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(CONFIG_EXIT)

@@ -218,20 +218,12 @@ def bernoulli_central_moment(p: float, k: int) -> float:
     return total + (-1.0) ** k * p ** k
 
 
-def _compositions(total: int, parts: int, minimum: int = 2):
-    if parts == 1:
-        if total >= minimum:
-            yield (total,)
-        return
-    for first in range(minimum, total - minimum * (parts - 1) + 1):
-        for rest in _compositions(total - first, parts - 1, minimum):
-            yield (first,) + rest
-
-
 def binomial_moment_bound(n: int, p: float, k: int) -> float:
     """Upper bound on the (2k)-th central moment of Binomial(n, p):
-    sum_{m=1}^{k} (n p)^m alpha_m, with alpha_m built from the ordered
-    compositions of 2k into m parts of size >= 2.
+    sum_{m=1}^{k} (n p)^m alpha_m with alpha_m = 4^k S2(2k, m), where the
+    associated Stirling number of the second kind S2(j, m) counts the
+    partitions of j items into m blocks of at least two, so that
+    S2(j, m) = m S2(j-1, m) + (j-1) S2(j-2, m-1).
 
     Exact integer arithmetic covers the supported range k <= 8.
     """
@@ -241,20 +233,13 @@ def binomial_moment_bound(n: int, p: float, k: int) -> float:
         raise DensityError("p must lie in [0, 1]")
     if not 1 <= k <= 8 or int(k) != k:
         raise DensityError("k must be an integer in [1, 8]")
-    two_k = 2 * k
-    fact_2k = math.factorial(two_k)
+    S2 = [[1] + [0] * k] + [[0] * (k + 1) for _ in range(2 * k)]
+    for j in range(2, 2 * k + 1):
+        for m in range(1, k + 1):
+            S2[j][m] = m * S2[j - 1][m] + (j - 1) * S2[j - 2][m - 1]
     total = 0.0
     for m in range(1, k + 1):
-        alpha_num = 0
-        for comp in _compositions(two_k, m):
-            multinomial = fact_2k
-            weight = 1
-            for part in comp:
-                multinomial //= math.factorial(part)
-                weight *= 2 ** part
-            alpha_num += multinomial * weight
-        alpha = alpha_num / math.factorial(m)
-        total += (n * p) ** m * alpha
+        total += (n * p) ** m * (4 ** k * S2[2 * k][m])
     return total
 
 

@@ -6,14 +6,12 @@ outputs ``y``, noise variance ``s``, and ``A = K + s I``:
     mean(x)     = k_x' A^{-1} y
     variance(x) = k(x, x) - k_x' A^{-1} k_x
 
-``GPPosterior`` takes one of two routes at construction.  Where the Gram
-``K`` is numerically low-rank, greedy pivoted Cholesky (Harbrecht, Peters &
-Schneider, *Appl. Numer. Math.* 2012) gives ``K = Phi' Phi`` up to a
-residual that is negligible against the noise, and the variance comes from
-the r pivots alone.  Everywhere else ``A`` is built and Cholesky-factored
-densely, so a factorization failure is raised at construction.  ``mean``
-always uses the dense factor, made on first use.  The handle is read-only
-after construction.
+``_route`` picks one of three routes at construction, named by ``route``:
+``"prior"`` with no training points; ``"low-rank"`` where greedy pivoted
+Cholesky (Harbrecht, Peters & Schneider, *Appl. Numer. Math.* 2012) gives
+``K = Phi' Phi`` up to a residual negligible against the noise; ``"dense"``
+elsewhere, which factors ``A`` at construction and raises a failure there.
+``mean`` uses the dense factor, made on first use off the dense route.
 
 The factorizations and solves call LAPACK (``dpotrf``, ``dtrtrs``,
 ``dpotrs``) directly: the same routines ``cho_factor``, ``solve_triangular``
@@ -97,48 +95,22 @@ class GPPosterior:
     def __init__(self, train: TrainingSet, kernel: Kernel):
         self.train = train
         self.kernel = kernel
-        self._lowrank = None
-        X, n, s = train.inputs, train.n, train.noise_variance
-        if n == 0:
-            return
-        # Matern-1/2 eigenvalues decay like k^-2: its Gram is never low-rank
-        factor = None
-        if n >= _LOWRANK_MIN_N and kernel.kind != MATERN_HALF:
-            factor = _pivoted_cholesky(kernel, X, s)
-        if factor is None:
-            self._cho = self._dense_factor()
-            return
-        pivots, Phi = factor
-        # U_p = Phi[:, p] is upper triangular with U_p' U_p = K[p, p], and
-        # Phi[:, i] = g(X_i) for the features g(x) = U_p'^{-1} k(X_p, x).
-        M = Phi @ Phi.T
-        M.flat[::pivots.size + 1] += s
-        self._lowrank = (X[pivots], Phi[:, pivots], _cholesky(M))
+        self._name, self._rank, self._variance, self._factor = _route(kernel, train)
+
+    @property
+    def route(self) -> str:
+        """The route ``_route`` chose: "prior", "dense" or "low-rank"."""
+        return self._name
 
     @property
     def rank(self) -> int | None:
-        """Rank of the low-rank factor, or None on the dense route."""
-        return None if self._lowrank is None else self._lowrank[0].size
-
-    def _dense_factor(self):
-        # Only the lower triangle, which dpotrf(lower=1) reads, is
-        # built, 64 columns at a time; each C-ordered block of rows is
-        # stored transposed, a contiguous copy into the Fortran-ordered
-        # buffer.  Above the diagonal blocks the buffer stays zero.
-        X, n = self.train.inputs, self.train.n
-        A = np.zeros((n, n), order="F")
-        for j in range(0, n, _GRAM_BLOCK):
-            A[j:, j:j + _GRAM_BLOCK] = _checked(kernel_matrix(
-                self.kernel, X[j:j + _GRAM_BLOCK], X[j:]), "covariance matrix",
-                FactorizationError).T
-        A.flat[::n + 1] += self.train.noise_variance
-        return _cholesky(A)
+        """Rank of the low-rank factor, or None on the other routes."""
+        return self._rank
 
     @cached_property
     def _cho(self):
-        """Cholesky factor of A: made at construction on the dense route,
-        on first use by ``mean`` on the low-rank one."""
-        return self._dense_factor()
+        """Cholesky factor of A: the dense route's, else made on first use."""
+        return _dense_factor(self.kernel, self.train) if self._factor is None else self._factor
 
     @cached_property
     def _alpha(self):
@@ -146,24 +118,6 @@ class GPPosterior:
         if info != 0:
             raise ValueError(f"dpotrs rejected argument {-info}")
         return alpha
-
-    def _variance(self, Xp) -> np.ndarray:
-        priors = kernel_diagonal(self.kernel, Xp)
-        if self.train.n == 0:
-            return priors
-        if self._lowrank is None:
-            # with A = L L' and V = L^{-1} K_x, k_x' A^{-1} k_x = |V[:, j]|^2
-            V = _trsolve(self._cho, _query_block(self.kernel, Xp, self.train.inputs))
-            return priors - np.einsum("ij,ij->j", V, V)
-        # With K = Phi' Phi, k_x = Phi' g and R R' = sI + Phi Phi', the form
-        # k_x' A^{-1} k_x is |g|^2 - s |R^{-1} g|^2, so the variance is a sum
-        # of two non-negative terms; the Woodbury form
-        # (|k_x|^2 - |R^{-1} Phi k_x|^2) / s would cancel instead.
-        X_p, U_p, R = self._lowrank
-        G = _trsolve(U_p, _query_block(self.kernel, Xp, X_p), transposed_upper=True)
-        v = priors - np.einsum("ij,ij->j", G, G)
-        H = _trsolve(R, G)      # in G's buffer
-        return v + self.train.noise_variance * np.einsum("ij,ij->j", H, H)
 
     def variance(self, x) -> float:
         """Posterior variance at one scalar point."""
@@ -174,12 +128,63 @@ class GPPosterior:
         return self._variance(as_points(X))
 
     def mean(self, x) -> float:
-        if self.train.n == 0:
+        if self.route == "prior":
             return 0.0
         if self.train.outputs is None:
             raise ValueError("posterior mean needs training outputs")
         k_x = _query_block(self.kernel, as_points(as_point(x)), self.train.inputs)[:, 0]
         return float(k_x @ self._alpha)
+
+
+def _route(kernel: Kernel, train: TrainingSet):
+    """The one choice of route, from the kernel kind and N: its name, rank
+    (None unless low-rank), variance at query points and dense factor or None."""
+    X, n, s = train.inputs, train.n, train.noise_variance
+    if n == 0:
+        return "prior", None, lambda Xp: kernel_diagonal(kernel, Xp), None
+    # Matern-1/2 eigenvalues decay like k^-2: its Gram is never low-rank
+    low_rank_kind = n >= _LOWRANK_MIN_N and kernel.kind != MATERN_HALF
+    factor = _pivoted_cholesky(kernel, X, s) if low_rank_kind else None
+    if factor is None:
+        L = _dense_factor(kernel, train)
+
+        def dense(Xp):
+            # with A = L L' and V = L^{-1} K_x, k_x' A^{-1} k_x = |V[:, j]|^2
+            V = _trsolve(L, _query_block(kernel, Xp, X))
+            return kernel_diagonal(kernel, Xp) - np.einsum("ij,ij->j", V, V)
+        return "dense", None, dense, L
+    pivots, Phi = factor
+    # U_p = Phi[:, p] is upper triangular with U_p' U_p = K[p, p], and
+    # Phi[:, i] = g(X_i) for the features g(x) = U_p'^{-1} k(X_p, x).
+    X_p, U_p = X[pivots], Phi[:, pivots]
+    M = Phi @ Phi.T
+    M.flat[::pivots.size + 1] += s
+    R = _cholesky(M)
+
+    def low_rank(Xp):
+        # With K = Phi' Phi, k_x = Phi' g and R R' = sI + Phi Phi', the form
+        # k_x' A^{-1} k_x is |g|^2 - s |R^{-1} g|^2, so the variance is a sum
+        # of two non-negative terms; the Woodbury form
+        # (|k_x|^2 - |R^{-1} Phi k_x|^2) / s would cancel instead.
+        G = _trsolve(U_p, _query_block(kernel, Xp, X_p), transposed_upper=True)
+        v = kernel_diagonal(kernel, Xp) - np.einsum("ij,ij->j", G, G)
+        H = _trsolve(R, G)      # in G's buffer
+        return v + s * np.einsum("ij,ij->j", H, H)
+    return "low-rank", pivots.size, low_rank, None
+
+
+def _dense_factor(kernel: Kernel, train: TrainingSet) -> np.ndarray:
+    """Lower Cholesky factor of A.  Only the lower triangle, which dpotrf
+    reads, is built, 64 columns at a time, each C-ordered block of rows
+    copied transposed into a zeroed Fortran-ordered buffer."""
+    X, n = train.inputs, train.n
+    A = np.zeros((n, n), order="F")
+    for j in range(0, n, _GRAM_BLOCK):
+        A[j:, j:j + _GRAM_BLOCK] = _checked(kernel_matrix(
+            kernel, X[j:j + _GRAM_BLOCK], X[j:]), "covariance matrix",
+            FactorizationError).T
+    A.flat[::n + 1] += train.noise_variance
+    return _cholesky(A)
 
 
 def _checked(block: np.ndarray, what: str, error=ValueError) -> np.ndarray:

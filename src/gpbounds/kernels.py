@@ -278,16 +278,6 @@ def neural_network(bias_variance: float = 1.0, weight_variance: float = 1.0,
                   bias_variance=bias_variance, weight_variance=weight_variance)
 
 
-def make_kernel(kind: str, **params) -> Kernel:
-    """Build a kernel by kind name; unknown kinds or parameters raise KernelError."""
-    if kind not in KERNEL_PARAMS:
-        raise KernelError(f"unknown kernel kind {kind!r}; choose from {ALL_KINDS}")
-    unused = sorted(set(params) - set(KERNEL_PARAMS[kind]))
-    if unused:
-        raise KernelError(f"{kind} takes no parameters {unused}")
-    return Kernel(kind, **params)
-
-
 GRID_POINTS = 10_000
 SAFETY_FACTOR = 1.05
 

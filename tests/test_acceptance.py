@@ -22,7 +22,7 @@ from gpbounds.curves import (e1_bound, e2_bound, e_rho_bound,
                              greedy_select_n, monte_carlo_curve)
 from gpbounds.experiments import log_grid
 from gpbounds.gp import GPPosterior, TrainingSet
-from gpbounds.kernels import (kernel_matrix, lipschitz_constant, make_kernel,
+from gpbounds.kernels import (Kernel, kernel_matrix, lipschitz_constant,
                               matern_half, neural_network, periodic, polynomial,
                               rational_quadratic, squared_exponential)
 
@@ -149,7 +149,7 @@ def test_criterion_05_scheduled_bound_decay_rates():
                  ("matern-1/2", 0.5, -0.5, 0.10))
         ns = np.unique(np.round(np.logspace(3, 5, 21)).astype(int))
         for kind, alpha, slope_target, slope_tol in cases:
-            kernel = make_kernel(kind)
+            kernel = Kernel(kind)
             schedule = RadiusSchedule(1.0, alpha)
             values = []
             for n in ns:

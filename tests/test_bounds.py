@@ -11,7 +11,7 @@ from gpbounds.experiments import (PRESETS, config_kernel, log_grid,
                                   preset_config, resolved_schedule_alpha)
 from gpbounds.gp import GPPosterior, TrainingSet
 from gpbounds.kernels import (ALL_KINDS, KERNEL_PARAMS, Kernel,
-                              lipschitz_constant, make_kernel, matern_half,
+                              lipschitz_constant, matern_half,
                               neural_network, periodic, polynomial,
                               rational_quadratic, squared_exponential)
 
@@ -364,7 +364,7 @@ def random_kernels(draw):
             params[name] = draw(st.integers(1, 4))
         elif name != "signal_variance":
             params[name] = draw(st.floats(0.3, 2.0))
-    return make_kernel(kind, **params)
+    return Kernel(kind, **params)
 
 
 @settings(max_examples=150, deadline=None)

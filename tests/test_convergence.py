@@ -351,6 +351,44 @@ def test_binomial_bound_dominates_exact_moments():
                 assert bound >= exact - 1e-12
 
 
+def _compositions(total, parts, minimum=2):
+    """The ordered compositions of total into parts of at least minimum."""
+    if parts == 1:
+        if total >= minimum:
+            yield (total,)
+        return
+    for first in range(minimum, total - minimum * (parts - 1) + 1):
+        for rest in _compositions(total - first, parts - 1, minimum):
+            yield (first,) + rest
+
+
+def _composition_moment_bound(n, p, k):
+    """The bound with alpha_m summed over the ordered compositions of 2k
+    into m parts of at least two: (2k)! prod(2^c_i / c_i!), divided by m!."""
+    total = 0.0
+    for m in range(1, k + 1):
+        alpha_num = 0
+        for comp in _compositions(2 * k, m):
+            multinomial = math.factorial(2 * k)
+            weight = 1
+            for part in comp:
+                multinomial //= math.factorial(part)
+                weight *= 2 ** part
+            alpha_num += multinomial * weight
+        total += (n * p) ** m * (alpha_num / math.factorial(m))
+    return total
+
+
+def test_binomial_bound_equals_the_composition_sum():
+    """alpha_m from the Stirling recurrence is the composition sum exactly,
+    so the bound has the same bits for every supported k."""
+    rng = np.random.default_rng(35)
+    for k in range(1, 9):
+        for n, p in [(1, 0.5), (15, 0.0), (7, 1.0), (10**6, 0.3)] + [
+                (int(rng.integers(1, 10**5)), float(rng.uniform())) for _ in range(50)]:
+            assert binomial_moment_bound(n, p, k) == _composition_moment_bound(n, p, k), (n, p, k)
+
+
 def test_binomial_bound_guards():
     with pytest.raises(DensityError):
         binomial_moment_bound(0, 0.5, 1)

@@ -11,7 +11,7 @@ from gpbounds.curves import (CurveError, QuadratureError, _k2_integral,
                              e1_bound, e2_bound, e_rho_bound, greedy_select_n,
                              monte_carlo_curve, segment_plan)
 from gpbounds.gp import GPPosterior, TrainingSet
-from gpbounds.kernels import (ISOTROPIC_KINDS, KERNEL_PARAMS, make_kernel,
+from gpbounds.kernels import (ISOTROPIC_KINDS, KERNEL_PARAMS, Kernel,
                               polynomial, squared_exponential)
 
 SE = squared_exponential(lengthscale=0.3)
@@ -270,7 +270,7 @@ def test_monte_carlo_curve_lies_above_the_spectral_lower_bound(kind):
     over the operator eigenvalues l_i.  The Nystrom bound on 400 nodes is
     lowered by its change on doubling to 800, which covers the slow
     convergence of the Matern-1/2 spectrum (about 6e-4 at N = 300)."""
-    kernel = make_kernel(kind, lengthscale=0.3)
+    kernel = Kernel(kind, lengthscale=0.3)
     table = monte_carlo_curve(kernel, NOISE, [1, 3, 10, 30, 100, 300], 200, 20,
                               seed=1)
     coarse, fine = (nystrom_eigenvalues(kernel, m) for m in (400, 800))
@@ -300,7 +300,7 @@ def isotropic_kernels(draw):
     kind = draw(st.sampled_from(ISOTROPIC_KINDS))
     ranges = {"lengthscale": (0.1, 2.0), "signal_variance": (0.25, 4.0),
               "alpha": (0.5, 5.0), "period": (1.0, 4.0)}
-    return make_kernel(kind, **{name: draw(st.floats(*ranges[name]))
+    return Kernel(kind, **{name: draw(st.floats(*ranges[name]))
                                 for name in KERNEL_PARAMS[kind]})
 
 

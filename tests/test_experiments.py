@@ -544,13 +544,14 @@ def test_cli_numeric_error_exit_code(tmp_path):
 def test_cli_non_finite_covariance_exit_code(tmp_path, command, text):
     """A config that passes validation but whose kernel values overflow, or
     are 0/0 once l^2 underflows to 0, is a numerical failure: exit code 3,
-    one error line naming the covariance, and an existing --out kept."""
+    one error line naming the covariance, and an existing --out kept.  No
+    numpy warning comes first; under the suite's filterwarnings = error one
+    would end the run with exit code 1."""
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text(text)
     out = tmp_path / "kept.csv"
     out.write_text("earlier\n")
-    with np.errstate(all="ignore"):
-        res = CliRunner().invoke(main, [command, "--config", str(cfg), "--out", str(out)])
+    res = CliRunner().invoke(main, [command, "--config", str(cfg), "--out", str(out)])
     assert res.exit_code == 3, res.output
     assert [line for line in res.output.splitlines() if "error" in line] == [
         "numerical error: covariance matrix must be finite"]

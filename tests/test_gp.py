@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpotrf
 
 import gpbounds.gp as gp
 from gpbounds.gp import _GRAM_BLOCK, FactorizationError, GPPosterior, TrainingSet
 from gpbounds.kernels import (KERNEL_PARAMS, Kernel, KernelError, _features, _gram,
                               gram_columns, kernel_diagonal, kernel_matrix,
-                              lipschitz_constant, make_kernel, matern_half,
+                              lipschitz_constant, matern_half,
                               neural_network, periodic, polynomial,
                               squared_exponential)
 
@@ -59,7 +60,7 @@ def test_random_instance_matches_dense_oracle():
 def test_oracle_sweep_all_kinds():
     rng = np.random.default_rng(22)
     for kind in KINDS:
-        k = make_kernel(kind)
+        k = Kernel(kind)
         for _ in range(5):
             n = int(rng.integers(1, 40))
             X = rng.uniform(0.5, 1.5, n)
@@ -75,7 +76,7 @@ def test_oracle_sweep_all_kinds():
 def test_variance_within_prior_band():
     rng = np.random.default_rng(23)
     for kind in KINDS:
-        k = make_kernel(kind)
+        k = Kernel(kind)
         X = rng.uniform(0.5, 1.5, 25)
         train = TrainingSet(X, 0.05)
         post = GPPosterior(train, k)
@@ -88,7 +89,7 @@ def test_adding_a_point_cannot_raise_variance():
     rng = np.random.default_rng(24)
     for _ in range(40):
         kind = KINDS[int(rng.integers(len(KINDS)))]
-        k = make_kernel(kind)
+        k = Kernel(kind)
         n = int(rng.integers(1, 30))
         X = rng.uniform(0.5, 1.5, n)
         extra = float(rng.uniform(0.5, 1.5))
@@ -148,7 +149,7 @@ def test_batch_prior_is_each_points_prior_variance():
     """With no samples the batch returns the prior at each point, for
     isotropic and inner-product kernels alike."""
     xs = np.linspace(-1.0, 2.0, 7)
-    for k in (squared_exponential(signal_variance=0.7), make_kernel("polynomial")):
+    for k in (squared_exponential(signal_variance=0.7), Kernel("polynomial")):
         post = GPPosterior(TrainingSet(np.empty(0), 0.1), k)
         expected = np.array([k.prior_variance(x) for x in xs])
         assert np.array_equal(post.variance_batch(xs), expected)
@@ -165,7 +166,7 @@ def test_triangular_quadratic_form_matches_cho_solve_oracle():
     rng = np.random.default_rng(27)
     xs = rng.uniform(0.5, 1.5, 200)
     for kind in KINDS:
-        k = make_kernel(kind)
+        k = Kernel(kind)
         priors = np.array([k.prior_variance(x) for x in xs])
         for n in (1, 50, 1220):
             X = rng.uniform(0.5, 1.5, n)
@@ -194,7 +195,7 @@ def test_two_column_points_are_rejected():
     with pytest.raises(KernelError):
         post.variance_batch(X2)
     with pytest.raises(KernelError):
-        lipschitz_constant(make_kernel("rational-quadratic"), [[0.5, 1.5], [0.5, 1.5]])
+        lipschitz_constant(Kernel("rational-quadratic"), [[0.5, 1.5], [0.5, 1.5]])
 
 
 def _zero_above_diagonal_blocks(L):
@@ -214,7 +215,7 @@ def test_blocked_factor_equals_the_dense_factor(monkeypatch):
     B = _GRAM_BLOCK
     xs = rng.uniform(0.5, 1.5, 50)
     for kind in KINDS:
-        k = make_kernel(kind)
+        k = Kernel(kind)
         for n in (1, 2, B - 1, B, B + 1, B + 2, B + 3, 2 * B + 1, 300):
             X = rng.uniform(0.5, 1.5, n)
             oracle = cho_factor(kernel_matrix(k, X) + 0.1 * np.eye(n), lower=True)
@@ -278,7 +279,7 @@ def test_non_finite_query_is_rejected():
     mean as from the variance.  The squared-exponential covariance with an
     infinitely far point is a finite 0, so that query returns the prior."""
     X = np.linspace(0.0, 1.0, 5)
-    for k in (squared_exponential(), make_kernel("periodic"), neural_network()):
+    for k in (squared_exponential(), Kernel("periodic"), neural_network()):
         post = GPPosterior(TrainingSet(X, 0.1, np.sin(X)), k)
         with np.errstate(invalid="ignore"):
             with pytest.raises(ValueError):
@@ -306,7 +307,7 @@ def test_non_finite_covariance_is_rejected_on_both_routes(monkeypatch):
         X[n // 2] = 1e200
         with monkeypatch.context() as m:
             if n >= gp._LOWRANK_MIN_N:
-                m.setattr(GPPosterior, "_dense_factor", lambda self: pytest.fail("dense"))
+                m.setattr(gp, "_dense_factor", lambda *args: pytest.fail("dense"))
             with np.errstate(invalid="ignore", over="ignore"):
                 with pytest.raises(ValueError, match="covariance matrix must be finite"):
                     GPPosterior(TrainingSet(X, 0.1), k)
@@ -331,7 +332,7 @@ def test_pivot_loop_rejects_a_non_finite_column(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(gp, "gram_columns", spoiled_columns)
-            m.setattr(GPPosterior, "_dense_factor", lambda self: pytest.fail("dense"))
+            m.setattr(gp, "_dense_factor", lambda *args: pytest.fail("dense"))
             with np.errstate(invalid="ignore"):
                 with pytest.raises(FactorizationError, match="covariance matrix must be finite"):
                     GPPosterior(TrainingSet(X, 0.1), squared_exponential(0.3))
@@ -350,7 +351,7 @@ def test_grams_and_posteriors_do_not_call_iso(monkeypatch):
     def results():
         out = []
         for kind in KINDS:
-            k = make_kernel(kind)
+            k = Kernel(kind)
             column = gram_columns(k, X)
             out += [kernel_matrix(k, X, Z), kernel_diagonal(k, X), column(0), column(39)]
         posts = [GPPosterior(train, squared_exponential(0.3)) for train in trains]
@@ -415,8 +416,8 @@ def test_low_rank_route_matches_the_dense_oracle():
     at N = 2000, the low-rank route by 7.4e-11."""
     rng = np.random.default_rng(31)
     n_min = gp._LOWRANK_MIN_N
-    cases = [(make_kernel(kind), (0.5, 1.5), 0.1) for kind in SMOOTH_KINDS]
-    cases += [(make_kernel(kind, lengthscale=0.3), (0.0, 1.0), 0.05)
+    cases = [(Kernel(kind), (0.5, 1.5), 0.1) for kind in SMOOTH_KINDS]
+    cases += [(Kernel(kind, lengthscale=0.3), (0.0, 1.0), 0.05)
               for kind in ("squared-exponential", "rational-quadratic", "periodic")]
     for k, domain, noise in cases:
         rtol = 1e-9 if k.kind == "polynomial" else 1e-10
@@ -475,8 +476,9 @@ def test_periodic_above_the_rank_cap_takes_the_dense_route(monkeypatch):
 
 def test_one_point_variance_runs_no_factorization(monkeypatch):
     """variance neither calls variance_batch, which the benchmark's tracer
-    also counts, nor factors anything: both routes factor at construction,
-    and only mean makes the dense factor on the low-rank route."""
+    also counts, nor factors anything: the dense and low-rank routes factor
+    at construction in ``_route``, and only mean makes the dense factor off
+    the dense route."""
     rng = np.random.default_rng(33)
     X = rng.uniform(0.0, 1.0, 200)
     posts = [GPPosterior(TrainingSet(X, 0.05, np.sin(X)), kernel)
@@ -495,6 +497,56 @@ def test_one_point_variance_runs_no_factorization(monkeypatch):
         assert post.variance_batch([0.4])[0] == v
     _, mean = dense_oracle(posts[0].kernel, X, np.sin(X), 0.05, 0.4)
     assert math.isclose(posts[0].mean(0.4), mean, rel_tol=1e-10)
+
+
+def test_route_is_chosen_from_the_kind_and_n():
+    """No training points is the prior route; below _LOWRANK_MIN_N every
+    kind is dense; at it every kind but Matern-1/2, whose Gram is never
+    low-rank, keeps its pivoted factor.  rank is set on the low-rank route
+    alone."""
+    rng = np.random.default_rng(36)
+    for kind in KINDS:
+        for n in (0, 1, 127, 128):
+            post = GPPosterior(TrainingSet(rng.uniform(0.5, 1.5, n), 0.1), Kernel(kind))
+            if n == 0:
+                assert post.route == "prior", kind
+                assert np.array_equal(post.variance_batch([0.7, 1.2]),
+                                      kernel_diagonal(post.kernel, [0.7, 1.2]))
+            elif n < 128 or kind == "matern-1/2":
+                assert post.route == "dense", (kind, n)
+            else:
+                assert post.route == "low-rank", kind
+            assert (post.rank is None) == (post.route != "low-rank"), (kind, n)
+    with pytest.raises(AttributeError):
+        post.route = "dense"
+    # periodic with l = 0.3 needs more pivots than N // 4 and falls back
+    post = GPPosterior(TrainingSet(rng.uniform(0.0, 1.0, 128), 0.05), periodic(0.3))
+    assert (post.route, post.rank) == ("dense", None)
+
+
+def test_mean_reuses_the_dense_route_factor(monkeypatch):
+    """On the dense route the factor made at construction serves mean too:
+    one dpotrf in all.  The low-rank route factors R at construction and
+    makes the dense factor on the first mean only."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return dpotrf(*args, **kwargs)
+
+    monkeypatch.setattr(gp, "dpotrf", counted)
+    rng = np.random.default_rng(38)
+    for n, route, sizes in ((20, "dense", [20]), (200, "low-rank", [10, 200])):
+        calls.clear()
+        X = rng.uniform(0.5, 1.5, n)
+        post = GPPosterior(TrainingSet(X, 0.1, np.sin(X)), squared_exponential())
+        assert post.route == route
+        means = [post.mean(x) for x in (0.6, 0.9, 1.3)]
+        post.variance_batch([0.6, 0.9])
+        assert calls == sizes, route
+        for x, m in zip((0.6, 0.9, 1.3), means):
+            assert math.isclose(m, dense_oracle(post.kernel, X, np.sin(X), 0.1, x)[1],
+                                rel_tol=1e-9), (route, x)
 
 
 def test_construction_factors_where_cholesky_could_fail():
@@ -532,7 +584,7 @@ def smooth_posteriors(draw):
             params[name] = draw(st.floats(0.3, 2.0))
     n = draw(st.integers(gp._LOWRANK_MIN_N, 400))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return make_kernel(kind, **params), rng.uniform(0.5, 1.5, n), draw(st.floats(0.01, 0.5))
+    return Kernel(kind, **params), rng.uniform(0.5, 1.5, n), draw(st.floats(0.01, 0.5))
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,7 +11,7 @@ from gpbounds.kernels import (ALL_KINDS, GRID_POINTS, ISOTROPIC_KINDS,
                               KERNEL_PARAMS, SAFETY_FACTOR, Kernel, KernelError,
                               _grid_lipschitz, as_point, as_points, gram_columns,
                               kernel_diagonal, kernel_matrix,
-                              lipschitz_constant, make_kernel, matern_half,
+                              lipschitz_constant, matern_half,
                               neural_network, periodic, polynomial,
                               rational_quadratic, squared_exponential)
 
@@ -52,7 +52,7 @@ def test_periodic_full_period():
 
 def test_iso_zero_is_signal_variance_for_all_isotropic():
     for kind in ISOTROPIC_KINDS:
-        k = make_kernel(kind, signal_variance=1.7)
+        k = Kernel(kind, signal_variance=1.7)
         assert k.iso(0.0) == 1.7
 
 
@@ -153,11 +153,9 @@ def test_constructor_validation():
     with pytest.raises(KernelError):
         neural_network(weight_variance=0.0)
     with pytest.raises(KernelError):
-        make_kernel("triangle")
+        Kernel("triangle")
     with pytest.raises(KernelError):
-        make_kernel("periodic", alpha=2.0)
-    with pytest.raises(KernelError):
-        make_kernel("periodic", perod=2.0)
+        Kernel("periodic", alpha=2.0)
     with pytest.raises(KernelError):
         Kernel("squared-exponential", alpha=2.0)
     with pytest.raises(KernelError):
@@ -280,7 +278,7 @@ def drawn_kernels(draw):
             params[name] = draw(st.integers(1, 5))
         else:
             params[name] = draw(st.floats(0.1, 10.0))
-    return make_kernel(kind, **params)
+    return Kernel(kind, **params)
 
 
 @settings(max_examples=60)
@@ -354,7 +352,7 @@ def test_lipschitz_rejects_a_bad_interval(kind, domain):
     """An end that is not finite or an inverted interval raises, rather than
     quoting a nan grid estimate."""
     with pytest.raises(KernelError):
-        lipschitz_constant(make_kernel(kind), domain)
+        lipschitz_constant(Kernel(kind), domain)
 
 
 def test_lipschitz_validity_sweep():
