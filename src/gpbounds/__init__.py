@@ -19,9 +19,9 @@ from .convergence import (ConvergenceVerdict, Density, DensityError, GrowthRow,
 from .curves import (CurveError, CurveRow, LearningCurveTable, QuadratureError,
                      SegmentPlan, e1_bound, e2_bound, e_rho_bound,
                      greedy_select_n, monte_carlo_curve, segment_plan)
-from .experiments import (ConfigError, ExperimentConfig, PRESETS, log_grid,
-                          load_config, parse_config_text, plot_script,
-                          preset_config, run_convergence_check,
+from .experiments import (BoundViolationError, ConfigError, ExperimentConfig,
+                          PRESETS, log_grid, load_config, parse_config_text,
+                          plot_script, preset_config, run_convergence_check,
                           run_learning_curve, run_variance_experiment)
 
 __version__ = "0.1.0"
@@ -43,8 +43,8 @@ __all__ = [
     "CurveError", "CurveRow", "LearningCurveTable", "QuadratureError",
     "SegmentPlan", "e1_bound", "e2_bound", "e_rho_bound", "greedy_select_n",
     "monte_carlo_curve", "segment_plan",
-    "ConfigError", "ExperimentConfig", "PRESETS", "log_grid", "load_config",
-    "parse_config_text", "plot_script", "preset_config",
+    "BoundViolationError", "ConfigError", "ExperimentConfig", "PRESETS",
+    "log_grid", "load_config", "parse_config_text", "plot_script", "preset_config",
     "run_convergence_check", "run_learning_curve", "run_variance_experiment",
     "__version__",
 ]

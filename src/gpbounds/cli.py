@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration problems (also a file that cannot
 be read or written), 3 numerical failures (a training covariance that is
-not finite or cannot be factored, or a missed quadrature tolerance).
+not finite or cannot be factored, a missed quadrature tolerance, or a
+bound below the exact variance it bounds).
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import click
 import numpy as np
 
 from .curves import QuadratureError
-from .experiments import (ConfigError, ExperimentConfig, PRESETS,
-                          apply_overrides, load_config, plot_script,
+from .experiments import (BoundViolationError, ConfigError, ExperimentConfig,
+                          PRESETS, apply_overrides, load_config, plot_script,
                           preset_config, run_convergence_check,
                           run_learning_curve, run_variance_experiment)
 from .gp import FactorizationError
@@ -61,7 +62,7 @@ class _ExitCodeGroup(click.Group):
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(CONFIG_EXIT)
-        except (FactorizationError, QuadratureError) as exc:
+        except (FactorizationError, QuadratureError, BoundViolationError) as exc:
             click.echo(f"numerical error: {exc}", err=True)
             sys.exit(NUMERIC_EXIT)
 

@@ -48,6 +48,10 @@ CURVE_HEADER = ("idx", "y_exact", "y_bound", "yE1", "yE2")
 GROWTH_HEADER = ("n", "mean_count", "min_count", "expected_count")
 
 
+class BoundViolationError(RuntimeError):
+    """A bound of a variance run fell below the exact variance it bounds."""
+
+
 class ConfigError(ValueError):
     """A config key is unknown, ill-typed, or out of its admissible range."""
 
@@ -290,6 +294,7 @@ def run_variance_experiment(cfg: ExperimentConfig, out_path) -> list[tuple]:
             train = TrainingSet(density.sample(n, [cfg.seed, tag, n, i]),
                                 cfg.noise_variance)
             rep = bound_report(train, kernel, cfg.test_point, rho, lip)
+            _check_bounds(rep, kernel, n, i)
             acc_exact += rep.exact
             acc_gen += rep.lipschitz
             if has_iso:
@@ -299,6 +304,17 @@ def run_variance_experiment(cfg: ExperimentConfig, out_path) -> list[tuple]:
                      acc_iso / d if has_iso else math.nan, acc_gen / d))
     write_csv(out_path, VARIANCE_HEADER, rows)
     return rows
+
+
+def _check_bounds(rep, kernel: Kernel, n: int, dataset: int) -> None:
+    """Raise BoundViolationError unless each bound the report holds is at
+    least its exact variance less 1e-10, a margin for rounding."""
+    for name in ("lipschitz", "isotropic", "one_point", "two_point"):
+        bound = getattr(rep, name)
+        if bound is not None and not bound >= rep.exact - 1e-10:
+            raise BoundViolationError(
+                f"{kernel.kind} kernel, N={n}, dataset {dataset}: the {name} bound "
+                f"{float(bound)!r} is below the exact variance {float(rep.exact)!r}")
 
 
 def run_learning_curve(cfg: ExperimentConfig, out_path):

@@ -13,11 +13,15 @@ Cholesky (Harbrecht, Peters & Schneider, *Appl. Numer. Math.* 2012) gives
 elsewhere, which factors ``A`` at construction and raises a failure there.
 ``mean`` uses the dense factor, made on first use off the dense route.
 
-The factorizations and solves call LAPACK (``dpotrf``, ``dtrtrs``,
-``dpotrs``) directly: the same routines ``cho_factor``, ``solve_triangular``
-and ``cho_solve`` call, without their per-call checks and copies, which cost
-more than the work itself for a small posterior (one BLAS thread, 20 x 20:
-8.3 us per ``cho_factor`` against 4.0 us per ``dpotrf``).
+The factorizations and solves call LAPACK (``dpotrf``, ``dpotrs``) and BLAS
+(``dtrsm``) directly: ``cho_factor`` and ``cho_solve`` call the same LAPACK
+routines with per-call checks and copies, which cost more than the work
+itself for a small posterior (one BLAS thread, 20 x 20: 8.3 us per
+``cho_factor`` against 4.0 us per ``dpotrf``).  Each query block is k(Xp, X),
+one row per query point, solved from the right by one ``dtrsm`` per factor:
+with 200 queries and the sum of squares, 15-23 us at N = 20 and 130 us at
+N = 100 (two runs), against 31-49 and 188-199 us for the left-side LAPACK
+solve of k(X, Xp) that ``solve_triangular`` runs.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .kernels import (MATERN_HALF, Kernel, as_point, as_points, gram_columns,
                       kernel_diagonal, kernel_matrix)
@@ -36,9 +41,10 @@ from .kernels import (MATERN_HALF, Kernel, as_point, as_points, gram_columns,
 # columns of the Gram built per kernel_matrix call; 64 and 128 ran alike
 _GRAM_BLOCK = 64
 # smallest N that tries the low-rank route.  One BLAS thread, building the
-# posterior and one query: squared-exponential 0.45 ms low-rank vs 0.29 dense
-# at N = 128, 0.42 vs 0.74 at 256 (neural-network 0.62 vs 0.39, 0.59 vs
-# 1.15); with 200 queries (l = 0.3) 0.62 vs 0.85 ms at N = 128 already
+# posterior and one query, ranges over four runs: squared-exponential
+# 0.15-0.26 ms low-rank vs 0.19-0.25 dense at N = 128, 0.16-0.28 vs 0.63-0.95
+# at 256 (neural-network 0.26-0.44 vs 0.29-0.36, 0.32-0.45 vs 0.89-1.29);
+# with 200 queries (l = 0.3) 0.24-0.48 vs 0.50-0.70 ms at N = 128 already
 _LOWRANK_MIN_N = 128
 # pivoting stops once the largest residual diagonal is at most this times the
 # largest kernel diagonal, about rounding level; on [0.5, 1.5] that is rank 4
@@ -132,7 +138,7 @@ class GPPosterior:
             return 0.0
         if self.train.outputs is None:
             raise ValueError("posterior mean needs training outputs")
-        k_x = _query_block(self.kernel, as_points(as_point(x)), self.train.inputs)[:, 0]
+        k_x = _query_block(self.kernel, as_points(as_point(x)), self.train.inputs)[0]
         return float(k_x @ self._alpha)
 
 
@@ -149,9 +155,10 @@ def _route(kernel: Kernel, train: TrainingSet):
         L = _dense_factor(kernel, train)
 
         def dense(Xp):
-            # with A = L L' and V = L^{-1} K_x, k_x' A^{-1} k_x = |V[:, j]|^2
-            V = _trsolve(L, _query_block(kernel, Xp, X))
-            return kernel_diagonal(kernel, Xp) - np.einsum("ij,ij->j", V, V)
+            # with A = L L' and W = K_x' L'^{-1}, k_x' A^{-1} k_x = |W[i]|^2
+            W = dtrsm(1.0, L, _query_block(kernel, Xp, X), side=1, lower=1,
+                      trans_a=1, overwrite_b=1)
+            return kernel_diagonal(kernel, Xp) - np.einsum("ij,ij->i", W, W)
         return "dense", None, dense, L
     pivots, Phi = factor
     # U_p = Phi[:, p] is upper triangular with U_p' U_p = K[p, p], and
@@ -166,10 +173,11 @@ def _route(kernel: Kernel, train: TrainingSet):
         # k_x' A^{-1} k_x is |g|^2 - s |R^{-1} g|^2, so the variance is a sum
         # of two non-negative terms; the Woodbury form
         # (|k_x|^2 - |R^{-1} Phi k_x|^2) / s would cancel instead.
-        G = _trsolve(U_p, _query_block(kernel, Xp, X_p), transposed_upper=True)
-        v = kernel_diagonal(kernel, Xp) - np.einsum("ij,ij->j", G, G)
-        H = _trsolve(R, G)      # in G's buffer
-        return v + s * np.einsum("ij,ij->j", H, H)
+        # The rows of G = K_x' U_p^{-1} are the features g(x)'.
+        G = dtrsm(1.0, U_p, _query_block(kernel, Xp, X_p), side=1, overwrite_b=1)
+        v = kernel_diagonal(kernel, Xp) - np.einsum("ij,ij->i", G, G)
+        H = dtrsm(1.0, R, G, side=1, lower=1, trans_a=1, overwrite_b=1)  # in G's buffer
+        return v + s * np.einsum("ij,ij->i", H, H)
     return "low-rank", pivots.size, low_rank, None
 
 
@@ -194,10 +202,10 @@ def _checked(block: np.ndarray, what: str, error=ValueError) -> np.ndarray:
 
 
 def _query_block(kernel: Kernel, Xp: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """k(X, Xp) as the transpose of k(Xp, X), which is Fortran-ordered, the
-    layout dtrtrs takes without a copy; every kind's Gram is symmetric bit
-    for bit under swapping its arguments."""
-    return _checked(kernel_matrix(kernel, Xp, X), "query covariances").T
+    """k(Xp, X), one row per query point, as the transpose of k(X, Xp): the
+    Fortran-ordered layout dtrsm overwrites without a copy; every kind's
+    Gram is symmetric bit for bit under swapping its arguments."""
+    return _checked(kernel_matrix(kernel, X, Xp), "query covariances").T
 
 
 def _cholesky(A: np.ndarray) -> np.ndarray:
@@ -211,16 +219,6 @@ def _cholesky(A: np.ndarray) -> np.ndarray:
     if info < 0:
         raise ValueError(f"dpotrf rejected argument {-info}")
     return L
-
-
-def _trsolve(T: np.ndarray, B: np.ndarray, transposed_upper=False) -> np.ndarray:
-    """T^{-1} B for a lower-triangular T, or T'^{-1} B for an upper one,
-    with a positive diagonal; B is overwritten when it is Fortran-ordered."""
-    V, info = dtrtrs(T, B, lower=int(not transposed_upper),
-                     trans=int(transposed_upper), overwrite_b=1)
-    if info != 0:
-        raise ValueError(f"dtrtrs failed with info {info}")
-    return V
 
 
 def _pivoted_cholesky(kernel: Kernel, X: np.ndarray, s: float):

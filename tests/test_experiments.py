@@ -605,6 +605,43 @@ def test_cli_numeric_failure_keeps_an_existing_out(tmp_path):
     assert not fresh.exists()
 
 
+@pytest.mark.parametrize("name", ["lipschitz", "isotropic", "one_point", "two_point"])
+def test_cli_bound_below_the_exact_variance_exit_code(tmp_path, monkeypatch, name):
+    """A bound 1e-6 below the exact variance, on the first dataset at N = 2,
+    stops the run with exit code 3 and a message naming the kernel, N, the
+    dataset, the bound and both values; an existing --out is kept."""
+    reports = []
+
+    def low(train, kernel, x, radius, lipschitz):
+        rep = bound_report(train, kernel, x, radius, lipschitz)
+        if train.n == 2 and not reports:
+            rep = replace(rep, **{name: rep.exact - 1e-6})
+            reports.append(rep)
+        return rep
+
+    monkeypatch.setattr(experiments, "bound_report", low)
+    earlier = "idx,sig_m,sig_bm,sig_bm_gen\n1,0.5,0.6,0.7\n"
+    out = tmp_path / "kept.csv"
+    out.write_text(earlier)
+    res = CliRunner().invoke(main, ["variance", "--preset", "variance-uniform-se",
+                                    "--max-n", "5", "--out", str(out)])
+    assert res.exit_code == 3, res.output
+    rep, = reports
+    assert res.output == (f"numerical error: squared-exponential kernel, N=2, dataset 0: "
+                          f"the {name} bound {getattr(rep, name)!r} is below the exact "
+                          f"variance {rep.exact!r}\n")
+    assert out.read_text() == earlier
+
+
+@pytest.mark.parametrize("preset", sorted(p for p in PRESETS if p.startswith("variance-")))
+def test_cli_variance_presets_keep_every_bound(tmp_path, preset):
+    """Every bound of the eight variance presets is at least the exact
+    variance on the grid up to N = 50, so each run exits 0."""
+    res = CliRunner().invoke(main, ["variance", "--preset", preset, "--max-n", "50",
+                                    "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 0, res.output
+
+
 def test_cli_variance_numeric_error_exit_code(tmp_path):
     """Where Cholesky may fail, GPPosterior factors at construction, so a
     variance run still stops with exit code 3."""

@@ -210,7 +210,8 @@ def test_blocked_factor_equals_the_dense_factor(monkeypatch):
     finiteness check scans it.  From N = _LOWRANK_MIN_N on, the smooth kinds
     take the low-rank route by default, so the dense route is compared with
     the threshold raised, and the factor the low-rank route makes for mean
-    on first use is compared too."""
+    on first use is compared too.  The variance solves from the right, so
+    it matches the left-side solve up to rounding, not bit for bit."""
     rng = np.random.default_rng(29)
     B = _GRAM_BLOCK
     xs = rng.uniform(0.5, 1.5, 50)
@@ -229,8 +230,65 @@ def test_blocked_factor_equals_the_dense_factor(monkeypatch):
             for L in (post._cho, lazy._cho):
                 assert np.array_equal(np.tril(L), np.tril(oracle[0])), (kind, n)
                 assert _zero_above_diagonal_blocks(L), (kind, n)
-            assert np.array_equal(post.variance_batch(xs),
-                                  priors - np.einsum("ij,ij->j", V, V)), (kind, n)
+            left = priors - np.einsum("ij,ij->j", V, V)
+            assert np.all(np.abs(post.variance_batch(xs) - left) <= 1e-13 * priors), (kind, n)
+
+
+def _left_side_variance(post, xs):
+    """The posterior variance at xs from left-side solve_triangular calls on
+    k(X, xs), with the factors of post's route made again."""
+    k, X, s = post.kernel, post.train.inputs, post.train.noise_variance
+    priors = kernel_diagonal(k, xs)
+    if post.route == "dense":
+        V = solve_triangular(post._cho, kernel_matrix(k, X, xs), lower=True)
+        return priors - np.einsum("ij,ij->j", V, V)
+    pivots, Phi = gp._pivoted_cholesky(k, X, s)
+    R = cho_factor(Phi @ Phi.T + s * np.eye(pivots.size), lower=True)[0]
+    G = solve_triangular(Phi[:, pivots], kernel_matrix(k, X[pivots], xs), trans="T")
+    H = solve_triangular(R, G, lower=True)
+    return priors - np.einsum("ij,ij->j", G, G) + s * np.einsum("ij,ij->j", H, H)
+
+
+def test_right_side_solve_matches_the_left_side_oracle(monkeypatch):
+    """The variance solves each query block k(xs, X) from the right with
+    dtrsm.  On both routes (the dense one forced by raising _LOWRANK_MIN_N)
+    it stays within 1e-13 k(x, x) of the left-side solve of k(X, xs) with
+    the same factors, for one query and for 200, on both sides of the Gram
+    block width and of _LOWRANK_MIN_N."""
+    rng = np.random.default_rng(39)
+    for kind in KINDS:
+        k = Kernel(kind)
+        for n in (1, 2, 20, 63, 64, 65, 127, 128, 300, 1220):
+            X = rng.uniform(0.5, 1.5, n)
+            xs = rng.uniform(0.5, 1.5, 200)
+            with monkeypatch.context() as m:
+                m.setattr(gp, "_LOWRANK_MIN_N", math.inf)
+                dense = GPPosterior(TrainingSet(X, 0.1), k)
+            for post in (dense, GPPosterior(TrainingSet(X, 0.1), k)):
+                for queries in (xs[:1], xs):
+                    oracle = _left_side_variance(post, queries)
+                    gap = np.abs(post.variance_batch(queries) - oracle)
+                    assert np.all(gap <= 1e-13 * kernel_diagonal(k, queries)), \
+                        (kind, n, post.route, queries.size)
+                gap = abs(post.variance(xs[0]) - oracle[0])
+                assert gap <= 1e-13 * k.prior_variance(xs[0]), (kind, n, post.route)
+
+
+def test_matern_half_never_enters_the_pivot_loop(monkeypatch):
+    """A Matern-1/2 Gram is never low-rank, so _route takes the dense route
+    without building a single pivot column, also from _LOWRANK_MIN_N on."""
+    calls = []
+
+    def spy(kernel, X):
+        calls.append(X.size)
+        return gram_columns(kernel, X)
+
+    monkeypatch.setattr(gp, "gram_columns", spy)
+    rng = np.random.default_rng(40)
+    for n in (128, 300):
+        post = GPPosterior(TrainingSet(rng.uniform(0.5, 1.5, n), 0.1), matern_half())
+        assert post.route == "dense", n
+    assert calls == []
 
 
 def _nn_ratio(kernel, X, Z):
