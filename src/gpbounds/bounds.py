@@ -35,7 +35,7 @@ def ball_count(train: TrainingSet, x, radius: float) -> int:
     if not radius >= 0:
         raise BoundError("radius must be non-negative")
     dists = np.abs(train.inputs - as_point(x))
-    return int(np.sum(dists <= radius))
+    return int(np.count_nonzero(dists <= radius))
 
 
 def lipschitz_bound(kernel: Kernel, lipschitz: float, x, ballcount: int,

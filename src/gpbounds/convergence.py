@@ -65,12 +65,29 @@ class Density:
 
     def sample(self, size: int, rng) -> np.ndarray:
         """Draw iid points by inverting the closed-form CDF.  ``rng`` is a
-        Generator or a seed for one, such as a runner's derived seed list."""
-        rng = np.random.default_rng(rng)
+        Generator or anything ``np.random.default_rng`` takes, such as a
+        runner's derived seed list; the draws are those of
+        ``np.random.default_rng(rng)``.  A uniform density takes one double
+        per point in order, so one call of size n + m holds the points of a
+        size-n call followed by those of a size-m call on the same stream."""
+        rng = _generator(rng)
         if self.kind == UNIFORM:
             return rng.uniform(*self.support, size)
         u = rng.random(size) - 0.5
         return self.center + np.sign(u) * self.half_width * np.sqrt(2.0 * np.abs(u))
+
+
+def _generator(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, cheaper for a derived seed list.
+
+    ``SeedSequence`` coerces a list one element at a time in Python, and a
+    Python int in [0, 2**32) becomes exactly one uint32 entropy word, so
+    such a list passed as those words gives the same stream.  Every other
+    seed, and so every error, goes to ``default_rng`` unchanged.
+    """
+    if type(seed) is list and all(type(v) is int and 0 <= v < 1 << 32 for v in seed):
+        seed = np.random.SeedSequence(np.array(seed, dtype=np.uint32))
+    return np.random.default_rng(seed)
 
 
 def uniform(lo: float, hi: float) -> Density:
@@ -274,6 +291,6 @@ def empirical_ball_growth(density: Density, x: float, schedule: RadiusSchedule,
         counts = np.empty(trials, dtype=int)
         for t in range(trials):
             pts = density.sample(n, [seed, n, t])
-            counts[t] = int(np.sum(np.abs(pts - x) <= rho))
+            counts[t] = np.count_nonzero(np.abs(pts - x) <= rho)
         rows.append(GrowthRow(n, float(np.mean(counts)), int(np.min(counts)), expected))
     return rows

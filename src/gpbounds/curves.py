@@ -39,6 +39,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .convergence import uniform
 from .gp import GPPosterior, TrainingSet
 from .kernels import Kernel
 
@@ -291,8 +292,9 @@ def monte_carlo_curve(kernel: Kernel, noise_variance: float, n_list,
                       quad_tol: float = 1e-9) -> LearningCurveTable:
     """Reference curve e(N) by Monte Carlo, with the three bounds per row.
 
-    For each N and dataset index a derived seed draws N uniform training
-    inputs and the test points, so any row can be reproduced in isolation.
+    For each N and dataset index one ``Density.sample`` call on a derived
+    seed draws the N uniform training inputs followed by the test points,
+    so any row can be reproduced in isolation.
     e(N) averages the posterior variance over both draws and adds the noise
     variance; the quoted standard error is across dataset means.  N = 0
     rows carry the prior value exactly.
@@ -305,6 +307,7 @@ def monte_carlo_curve(kernel: Kernel, noise_variance: float, n_list,
     if any(v < 0 for v in ns) or any(b <= a for a, b in zip(ns, ns[1:])):
         raise CurveError("N-list must be strictly increasing and non-negative")
     prior = kernel.iso(0.0) + noise_variance
+    unit = uniform(0.0, 1.0)
     rows = []
     warm = 1
     for n in ns:
@@ -313,11 +316,10 @@ def monte_carlo_curve(kernel: Kernel, noise_variance: float, n_list,
             continue
         dataset_means = np.empty(datasets)
         for i in range(datasets):
-            rng = np.random.default_rng([seed, _CURVE_TAG, n, i])
-            train = TrainingSet(rng.uniform(0.0, 1.0, n), noise_variance)
-            post = GPPosterior(train, kernel)
-            xs = rng.uniform(0.0, 1.0, test_points)
-            dataset_means[i] = float(np.mean(post.variance_batch(xs)))
+            pts = unit.sample(n + test_points, [seed, _CURVE_TAG, n, i])
+            post = GPPosterior(TrainingSet(pts[:n], noise_variance), kernel)
+            v = post.variance_batch(pts[n:])
+            dataset_means[i] = v.sum() / v.size  # np.mean's own reduction
         e_num = float(np.mean(dataset_means)) + noise_variance
         se = float(np.std(dataset_means, ddof=1) / math.sqrt(datasets))
         e1 = e1_bound(kernel, noise_variance, n, quad_tol)

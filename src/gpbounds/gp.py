@@ -78,7 +78,7 @@ class TrainingSet:
     def __post_init__(self):
         X = as_points(self.inputs)
         object.__setattr__(self, "inputs", X)
-        if not np.all(np.isfinite(X)):
+        if not np.isfinite(X).all():
             raise ValueError("training inputs must be finite")
         if not (self.noise_variance > 0 and np.isfinite(self.noise_variance)):
             raise ValueError("noise_variance must be positive and finite")
@@ -86,7 +86,7 @@ class TrainingSet:
             y = np.asarray(self.outputs, dtype=float).reshape(-1)
             if y.shape[0] != X.shape[0]:
                 raise ValueError("outputs length must match the number of inputs")
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise ValueError("training outputs must be finite")
             object.__setattr__(self, "outputs", y)
 

@@ -63,6 +63,30 @@ def test_sampling_stays_in_support_and_respects_shape():
     assert abs(np.mean(np.abs(pts - 1.0)) - 1.0 / 3.0) < 5e-3
 
 
+@pytest.mark.parametrize("seed", [
+    [0, 1, 0, 0], [2**32 - 1, 3, 2000, 19],                       # uint32 words
+    [2**32, 3, 5, 7], [2**64 - 1, 2, 1220, 19], [np.int64(5), 1, 2, 3],
+    17, (4, 3, 20, 1)])
+def test_sample_draws_the_default_rng_stream(seed):
+    """Each seed gives the draws of default_rng(seed), bit for bit, whether
+    it is passed as uint32 words or handed to default_rng as it is."""
+    for d in (uniform(0.5, 1.5), vanishing(1.0, 0.5)):
+        expected = d.sample(64, np.random.default_rng(seed))
+        assert d.sample(64, seed).tobytes() == expected.tobytes()
+
+
+def test_sample_passes_a_generator_through_and_rejects_negative_seeds():
+    rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(2):  # the second call goes on with the same stream
+        assert uniform(0.0, 1.0).sample(5, rng).tobytes() == twin.uniform(0.0, 1.0, 5).tobytes()
+    with pytest.raises(ValueError) as expected:
+        np.random.default_rng([1, -1, 2, 3])
+    with pytest.raises(ValueError) as got:
+        uniform(0.0, 1.0).sample(5, [1, -1, 2, 3])
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
 # ------------------------------------------------------- ball probabilities
 
 def test_ball_probability_frozen_values():

@@ -12,7 +12,7 @@ from gpbounds.curves import (CurveError, QuadratureError, _k2_integral,
                              monte_carlo_curve, segment_plan)
 from gpbounds.gp import GPPosterior, TrainingSet
 from gpbounds.kernels import (ISOTROPIC_KINDS, KERNEL_PARAMS, Kernel,
-                              polynomial, squared_exponential)
+                              periodic, polynomial, squared_exponential)
 
 SE = squared_exponential(lengthscale=0.3)
 NOISE = 0.05
@@ -253,6 +253,35 @@ def test_monte_carlo_computes_each_rows_e1_once(monkeypatch):
     table = monte_carlo_curve(SE, NOISE, [0, 1, 5, 60], 5, 2, seed=1)
     assert calls == [1, 5, 60]
     assert [row.e_rho == row.e1 for row in table.rows] == [True, True, True, False]
+
+
+def monte_carlo_oracle(kernel, n, test_points, datasets, seed):
+    """(e_num, e_num_se) of one row as drawn before sampling went through
+    Density.sample: two uniform draws per dataset and np.mean."""
+    means = np.empty(datasets)
+    for i in range(datasets):
+        rng = np.random.default_rng([seed, 3, n, i])
+        post = GPPosterior(TrainingSet(rng.uniform(0.0, 1.0, n), NOISE), kernel)
+        means[i] = float(np.mean(post.variance_batch(rng.uniform(0.0, 1.0, test_points))))
+    return (float(np.mean(means)) + NOISE,
+            float(np.std(means, ddof=1) / math.sqrt(datasets)))
+
+
+@pytest.mark.parametrize("seed", [1, 2**40])
+@pytest.mark.parametrize("kernel", [periodic(lengthscale=1.0), SE], ids=["periodic", "se"])
+def test_monte_carlo_draws_match_the_two_draw_oracle(kernel, seed, monkeypatch):
+    """One draw of N + 20 points per dataset gives the bits of the oracle's
+    two draws, on the dense route (N = 1, 20) and the low-rank route
+    (N = 130), for a seed passed as uint32 words and one past 2**32.  The
+    bounds are stubbed out: only the Monte-Carlo columns are compared."""
+    for name in ("e1_bound", "e2_bound"):
+        monkeypatch.setattr(curves, name, lambda *args: 1.0)
+    monkeypatch.setattr(curves, "_greedy", lambda *args: (1, 1.0))
+    table = monte_carlo_curve(kernel, NOISE, [1, 20, 130], 20, 3, seed=seed)
+    assert GPPosterior(TrainingSet(np.linspace(0.0, 1.0, 130), NOISE),
+                       kernel).route == "low-rank"
+    for row in table.rows:
+        assert (row.e_num, row.e_num_se) == monte_carlo_oracle(kernel, row.n, 20, 3, seed)
 
 
 def nystrom_eigenvalues(kernel, m):
