@@ -43,7 +43,7 @@ _GRAM_BLOCK = 64
 # smallest N that tries the low-rank route.  One BLAS thread, building the
 # posterior and one query, ranges over four runs: squared-exponential
 # 0.15-0.26 ms low-rank vs 0.19-0.25 dense at N = 128, 0.16-0.28 vs 0.63-0.95
-# at 256 (neural-network 0.26-0.44 vs 0.29-0.36, 0.32-0.45 vs 0.89-1.29);
+# at 256 (neural-network 0.24-0.37 vs 0.28-0.31, 0.29-0.40 vs 0.88-0.92);
 # with 200 queries (l = 0.3) 0.24-0.48 vs 0.50-0.70 ms at N = 128 already
 _LOWRANK_MIN_N = 128
 # pivoting stops once the largest residual diagonal is at most this times the

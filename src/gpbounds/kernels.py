@@ -166,16 +166,25 @@ class Kernel:
 
 def _features(kernel: Kernel, V: np.ndarray) -> tuple:
     """The per-point quantities ``_gram`` builds k(x, z) from, one array
-    each: x; for the neural-network kind x and a = 1 + 2 (sb + sw x^2); for
-    the periodic kind sin b and cos b with b = pi fmod(x, p) / p.  The
-    reduction by fmod(x, p) is exact and leaves sin^2 unchanged, so the
-    periodic features keep full accuracy for inputs far from 0."""
+    each: x; for the neural-network kind p = sqrt(2 sb) r and
+    q = sqrt(2 sw) x r with r = 1 / sqrt(a), a = 1 + 2 (sb + sw x^2), the
+    first two entries of (sqrt(2 sb), sqrt(2 sw) x, 1) scaled to unit
+    length, so |p_x p_z + q_x q_z| < 1; for the periodic kind sin b and
+    cos b with b = pi fmod(x, p) / p.  The reduction by fmod(x, p) is exact
+    and leaves sin^2 unchanged, so the periodic features keep full accuracy
+    for inputs far from 0."""
     if kernel.kind == PERIODIC:
         p = kernel.period
         b = np.pi * np.fmod(V, p) / p
         return np.sin(b), np.cos(b)
     if kernel.kind == NEURAL_NETWORK:
-        return V, 1.0 + 2.0 * (kernel.bias_variance + kernel.weight_variance * (V * V))
+        a = 1.0 + 2.0 * (kernel.bias_variance + kernel.weight_variance * (V * V))
+        # sqrt(a) / a, not 1 / sqrt(a): where a overflows this is inf / inf,
+        # a nan the finite checks catch, where 1 / sqrt(a) would be a 0
+        r = np.sqrt(a)
+        r /= a
+        return (math.sqrt(2.0 * kernel.bias_variance) * r,
+                math.sqrt(2.0 * kernel.weight_variance) * V * r)
     return (V,)
 
 
@@ -191,7 +200,11 @@ def _gram(kernel: Kernel, fx, fz) -> np.ndarray:
                      so k(X, Z) = k(Z, X)' bit for bit, and k(x, x) is
                      exactly the signal variance
     polynomial:      s2 (x z + c)^d
-    neural-network:  s2 (2/pi) arcsin(2 (sb + sw x z) / sqrt(a_x a_z))
+    neural-network:  s2 (2/pi) arcsin(u), with the argument
+                     u = 2 (sb + sw x z) / sqrt(a_x a_z) = p_x p_z + q_x q_z,
+                     two multiplies and an add per entry; each product
+                     is the same for x and z swapped, so k(X, Z) = k(Z, X)'
+                     bit for bit
     """
     if kernel.kind == POLYNOMIAL:
         return kernel.signal_variance * (fx[0] * fz[0] + kernel.offset) ** kernel.degree
@@ -209,15 +222,10 @@ def _gram(kernel: Kernel, fx, fz) -> np.ndarray:
     if kernel.isotropic:
         t = np.subtract(fx[0], fz[0])
         return kernel._iso(np.abs(t, out=t))
-    (x, a_x), (z, a_z) = fx, fz
-    s = x * z
-    s *= kernel.weight_variance
-    s += kernel.bias_variance
-    denom = a_x * a_z
-    np.sqrt(denom, out=denom)
-    s *= 2.0
-    s /= denom
-    # rounding can push the ratio a hair past 1 for coincident points
+    (p_x, q_x), (p_z, q_z) = fx, fz
+    s = p_x * p_z
+    s += q_x * q_z
+    # rounding can push u a hair past 1 for coincident points
     np.minimum(s, 1.0, out=s)
     np.maximum(s, -1.0, out=s)
     np.arcsin(s, out=s)

@@ -9,8 +9,8 @@ from gpbounds.bounds import bound_report
 from gpbounds.gp import TrainingSet
 from gpbounds.kernels import (ALL_KINDS, GRID_POINTS, ISOTROPIC_KINDS,
                               KERNEL_PARAMS, SAFETY_FACTOR, Kernel, KernelError,
-                              _grid_lipschitz, as_point, as_points, gram_columns,
-                              kernel_diagonal, kernel_matrix,
+                              _features, _grid_lipschitz, as_point, as_points,
+                              gram_columns, kernel_diagonal, kernel_matrix,
                               lipschitz_constant, matern_half,
                               neural_network, periodic, polynomial,
                               rational_quadratic, squared_exponential)
@@ -75,6 +75,23 @@ def test_neural_network_diagonal_clip():
     v = k(50.0, 50.0)
     assert v <= k.signal_variance + 1e-15
     assert v > 0.9
+
+
+def test_neural_network_overflow_stays_non_finite():
+    """Where a = 1 + 2 (sb + sw x^2) overflows, the features sqrt(a) / a are
+    inf / inf, a nan, and so is every entry that reads them: the finite
+    checks report it, where 1 / sqrt(a) would give a finite, wrong 0."""
+    k = neural_network()
+    X = np.array([1e155, 1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, q = _features(k, X)
+        K = kernel_matrix(k, X)
+        column = gram_columns(k, X)(1)
+        diagonal = kernel_diagonal(k, X)
+    assert np.isnan(p[0]) and np.isnan(q[0])
+    assert np.isnan(K[0]).all() and np.isnan(K[:, 0]).all()
+    assert np.isnan(column[0]) and np.isnan(diagonal[0])
+    assert np.isfinite([p[1], q[1], K[1, 1], column[1], diagonal[1]]).all()
 
 
 def _iso_one_line(k, t):
@@ -178,11 +195,20 @@ def test_as_points_shapes():
 # ---------------------------------------------------------- matrix structure
 
 def test_symmetry_exact():
+    """Every kind's Gram is symmetric bit for bit, and swapping the two
+    arguments of a cross Gram transposes it bit for bit, also for far-out
+    and duplicated points where the neural-network argument is clipped:
+    gp._query_block reads k(Xp, X) as the transpose of k(X, Xp)."""
     rng = np.random.default_rng(11)
     X = rng.uniform(-2.0, 2.0, 40)
-    for k in all_kernels():
+    Z = rng.uniform(-2.0, 2.0, 25)
+    big = np.repeat(rng.uniform(-1e9, 1e9, 10), 3)
+    pairs = ((X, Z), (X, big), (big, big[::-1]))
+    for k in all_kernels() + [neural_network(0.3, 7.0, 2.5)]:
         K = kernel_matrix(k, X)
         assert np.array_equal(K, K.T)
+        for A, B in pairs:
+            assert np.array_equal(kernel_matrix(k, A, B), kernel_matrix(k, B, A).T), k
 
 
 def test_cross_matrix_matches_pairwise_eval():
@@ -372,6 +398,14 @@ def test_lipschitz_grid_value_rq():
     exact = tau * (1.0 + 0.5 * tau * tau) ** -2
     est = lipschitz_constant(rational_quadratic(), (0.0, 2.0))
     assert math.isclose(est, 1.05 * exact, rel_tol=1e-3)
+
+
+def test_lipschitz_grid_value_nn():
+    """The neural-network constant on (0.5, 1.5) stays within 1e-10 of
+    0.35728537002917066, the grid value of the textbook form
+    2 (sb + sw x z) / sqrt(a_x a_z) for the arcsine argument."""
+    est = lipschitz_constant(neural_network(), (0.5, 1.5))
+    assert math.isclose(est, 0.35728537002917066, rel_tol=1e-10)
 
 
 def _full_grid_lipschitz(kernel, lo, hi):
