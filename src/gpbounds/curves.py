@@ -53,13 +53,16 @@ class CurveError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature missed the requested tolerance."""
+    """Quadrature missed the requested tolerance.  The message names where:
+    the kernel kind, N and the bound, with its section size for e_rho."""
 
-    def __init__(self, requested: float, achieved: float):
+    def __init__(self, requested: float, achieved: float, kind: str, n: int,
+                 bound: str, section_size: int | None = None):
         self.requested = requested
         self.achieved = achieved
-        super().__init__(f"quadrature achieved {achieved:.3g}, "
-                         f"requested {requested:.3g}")
+        size = "" if section_size is None else f" (section size {section_size})"
+        super().__init__(f"{kind} kernel, N={n}: {bound}{size} quadrature "
+                         f"achieved {achieved:.3g}, requested {requested:.3g}")
 
 
 @lru_cache(maxsize=1024)
@@ -82,10 +85,11 @@ def _jacobi_rule(m: int, alpha: int, beta: int):
     return nodes, weights
 
 
-def _curve_bound(total: float, blocks, quad_tol: float) -> float:
+def _curve_bound(total: float, blocks, quad_tol: float, where: tuple) -> float:
     """total minus E[g(D)] per block (g, alpha, beta), D with density
     proportional to (1 - d)^alpha d^beta on [0, 1]; ``g(d, x, w)`` maps the
-    outer nodes d to values by the inner rule (x, w) on [0, 1]."""
+    outer nodes d to values by the inner rule (x, w) on [0, 1].  ``where``
+    holds the ``QuadratureError`` arguments after the two tolerances."""
     tol = quad_tol / (2 * len(blocks))
     done = {}
     total_err = 0.0
@@ -109,7 +113,7 @@ def _curve_bound(total: float, blocks, quad_tol: float) -> float:
         total -= val
         total_err += err
     if total_err > quad_tol:
-        raise QuadratureError(quad_tol, total_err)
+        raise QuadratureError(quad_tol, total_err, *where)
     return total
 
 
@@ -145,7 +149,8 @@ def e1_bound(kernel: Kernel, noise_variance: float, n: int,
         return 2.0 / a * (_k2_integral(kernel, d, 0.0, 1.0, x, w)
                           + (n - 1) * _k2_integral(kernel, d, 0.0, 0.5, x, w))
 
-    return _curve_bound(a, [(per_gap, n - 1, 0)], quad_tol)
+    return _curve_bound(a, [(per_gap, n - 1, 0)], quad_tol,
+                        (kernel.kind, n, "e1_bound"))
 
 
 def e2_bound(kernel: Kernel, noise_variance: float, n: int,
@@ -173,7 +178,8 @@ def e2_bound(kernel: Kernel, noise_variance: float, n: int,
         return (2.0 / a * _k2_integral(kernel, d, 0.0, 1.0, x, w)
                 + 2.0 * (n - 1) * pair)
 
-    return _curve_bound(a, [(per_gap, n - 1, 0)], quad_tol)
+    return _curve_bound(a, [(per_gap, n - 1, 0)], quad_tol,
+                        (kernel.kind, n, "e2_bound"))
 
 
 @dataclass(frozen=True)
@@ -239,7 +245,8 @@ def e_rho_bound(kernel: Kernel, noise_variance: float, n_total: int, n: int,
     ends = {c: block(c + 1, c, 1.0) for c in (plan.left_count, plan.right_count)}
     blocks = [block(plan.section_size, plan.section_size, float(plan.inner_sections)),
               ends[plan.left_count], ends[plan.right_count]]
-    return _curve_bound(k0 + s, blocks, quad_tol)
+    return _curve_bound(k0 + s, blocks, quad_tol,
+                        (kernel.kind, n_total, "e_rho_bound", n))
 
 
 def _greedy(kernel, noise_variance, n_total, n_start, e1, quad_tol):

@@ -48,7 +48,8 @@ _GRAM_BLOCK = 64
 _LOWRANK_MIN_N = 128
 # pivoting stops once the largest residual diagonal is at most this times the
 # largest kernel diagonal, about rounding level; on [0.5, 1.5] that is rank 4
-# (polynomial), 10 (squared-exponential) and 14-16 (neural-network)
+# (polynomial), 10 (squared-exponential) and 14-16 (neural-network), and with
+# l = 0.3 on [0, 1] 17-18 (squared-exponential) and 32-39 (rational-quadratic)
 _PIVOT_RTOL = 1e-15
 # the rank is capped at N // _RANK_CAP_DIVISOR, where the pivot loop costs
 # about as much as the dense factor (Matern-1/2, l = 0.3: 4.3 vs 3.5 ms at
@@ -184,7 +185,9 @@ def _route(kernel: Kernel, train: TrainingSet):
 def _dense_factor(kernel: Kernel, train: TrainingSet) -> np.ndarray:
     """Lower Cholesky factor of A.  Only the lower triangle, which dpotrf
     reads, is built, 64 columns at a time, each C-ordered block of rows
-    copied transposed into a zeroed Fortran-ordered buffer."""
+    copied transposed into a zeroed Fortran-ordered buffer.  Each block has
+    the bits of the same entries of the whole Gram, so the factor is the
+    whole Gram's bit for bit."""
     X, n = train.inputs, train.n
     A = np.zeros((n, n), order="F")
     for j in range(0, n, _GRAM_BLOCK):
@@ -204,7 +207,9 @@ def _checked(block: np.ndarray, what: str, error=ValueError) -> np.ndarray:
 def _query_block(kernel: Kernel, Xp: np.ndarray, X: np.ndarray) -> np.ndarray:
     """k(Xp, X), one row per query point, as the transpose of k(X, Xp): the
     Fortran-ordered layout dtrsm overwrites without a copy; every kind's
-    Gram is symmetric bit for bit under swapping its arguments."""
+    Gram is symmetric bit for bit under swapping its arguments.  ``variance``
+    and ``mean`` both read their covariances here, so both raise ValueError
+    for a query whose covariances are not finite."""
     return _checked(kernel_matrix(kernel, X, Xp), "query covariances").T
 
 

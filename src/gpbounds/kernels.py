@@ -10,6 +10,11 @@ whether ``k(tau)`` is non-increasing, follows from the kind alone;
 interval.  Inputs are scalars: a point is a float, a set of points a 1-D
 array (an (n, 1) column is read as one).
 
+Each kind's values come from one formula: ``Kernel._iso`` for the isotropic
+kinds and ``_gram``, from per-point ``_features``, for every Gram entry.
+``kernel_matrix``, ``kernel_diagonal``, ``gram_columns`` and the Lipschitz
+grid walk broadcast ``_gram`` to a Gram, its diagonal or one column.
+
 Functional forms (``s2`` is the signal variance, ``l`` the lengthscale):
 
 * squared-exponential   ``s2 * exp(-tau^2 / (2 l^2))``
@@ -234,7 +239,9 @@ def _gram(kernel: Kernel, fx, fz) -> np.ndarray:
 
 
 def kernel_matrix(kernel: Kernel, X, Z=None) -> np.ndarray:
-    """Cross-covariance matrix k(X, Z); Z defaults to X."""
+    """Cross-covariance matrix k(X, Z); Z defaults to X.  Each entry depends
+    only on its own pair of points, so a block of a Gram equals the same
+    entries of the whole Gram bit for bit."""
     fx = _features(kernel, as_points(X))
     fz = fx if Z is None else _features(kernel, as_points(Z))
     return _gram(kernel, [f[:, None] for f in fx], fz)

@@ -374,3 +374,7 @@ def test_unreachable_tolerance_is_reported(bound, args):
             bound(SE, NOISE, *args, quad_tol=1e-16)
     assert info.value.requested == 1e-16
     assert info.value.achieved > 1e-16
+    where = f"squared-exponential kernel, N=100: {bound.__name__}"
+    if bound is e_rho_bound:
+        where += " (section size 4)"
+    assert str(info.value).startswith(where + " quadrature achieved ")

@@ -113,6 +113,35 @@ def test_readme_library_example_runs():
     assert report.lipschitz >= report.exact
 
 
+def test_readme_config_example_runs(tmp_path):
+    section = README.read_text(encoding="utf-8").split("## Config files", 1)[1]
+    text = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    parse_config_text(text)
+    cfg = tmp_path / "readme.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "readme.csv"
+    res = CliRunner().invoke(main, ["variance", "--config", str(cfg),
+                                    "--max-n", "5", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert len(out.read_text().splitlines()) == 1 + 5
+
+
+# a number, or a range of them, followed by a time or memory unit; a number
+# that ends an exponent, as in "1e-9 s" with s the noise variance, is not one
+MEASURED_FIGURE = re.compile(r"(?<![\w.+-])\d+(?:\.\d+)?(?:[–-]\d+(?:\.\d+)?)?\s*"
+                             r"(?:µs|us|ms|s|sec|seconds|minutes|MiB|MB|GiB|GB|KiB|kB)\b")
+
+
+def test_readme_holds_no_measured_figure():
+    """Timings and memory figures go stale with every speed change; they
+    are kept in CHANGES.md, the BENCH_*.json files and the docstrings of
+    the code they measure, not in the README."""
+    assert MEASURED_FIGURE.findall(README.read_text(encoding="utf-8")) == []
+    assert MEASURED_FIGURE.findall("`learning-curve-matern` 17–21 s, 0.39 MiB, "
+                                   "14 µs a column") == ["17–21 s", "0.39 MiB", "14 µs"]
+    assert MEASURED_FIGURE.findall("at most 1e-9 s, where s is the noise") == []
+
+
 # --------------------------------------------------------------- validation
 
 def base(**kw):
@@ -530,6 +559,21 @@ def test_cli_numeric_error_exit_code(tmp_path):
                                     "--out", str(tmp_path / "x.csv")])
     assert res.exit_code == 3
     assert "numerical error" in res.output
+
+
+def test_cli_quadrature_error_names_the_bound(tmp_path):
+    """A period below the unit interval makes e2's integrand oscillate
+    faster than the rules' last level resolves at N = 2; the one error line
+    names the kernel, N and the bound that missed its tolerance."""
+    cfg = tmp_path / "periodic.cfg"
+    cfg.write_text("experiment = learning-curve\nkernel = periodic\n"
+                   "lengthscale = 0.3\nperiod = 0.5\nn_max = 5\n")
+    res = CliRunner().invoke(main, ["learning-curve", "--config", str(cfg),
+                                    "--out", str(tmp_path / "x.csv")])
+    assert res.exit_code == 3, res.output
+    line, = res.output.splitlines()
+    assert re.fullmatch(r"numerical error: periodic kernel, N=2: e2_bound quadrature "
+                        r"achieved \S+, requested 1e-09", line), line
 
 
 @pytest.mark.parametrize("command, text", [
