@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .convergence import uniform
-from .gp import GPPosterior, TrainingSet
+from .gp import FactorizationError, GPPosterior, TrainingSet
 from .kernels import Kernel
 
 # outer and inner node counts of the first rule; both double per level
@@ -322,11 +322,14 @@ def monte_carlo_curve(kernel: Kernel, noise_variance: float, n_list,
             rows.append(CurveRow(0, prior, 0.0, prior, prior, prior, 0))
             continue
         dataset_means = np.empty(datasets)
-        for i in range(datasets):
-            pts = unit.sample(n + test_points, [seed, _CURVE_TAG, n, i])
-            post = GPPosterior(TrainingSet(pts[:n], noise_variance), kernel)
-            v = post.variance_batch(pts[n:])
-            dataset_means[i] = v.sum() / v.size  # np.mean's own reduction
+        try:
+            for i in range(datasets):
+                pts = unit.sample(n + test_points, [seed, _CURVE_TAG, n, i])
+                post = GPPosterior(TrainingSet(pts[:n], noise_variance), kernel)
+                v = post.variance_batch(pts[n:])
+                dataset_means[i] = v.sum() / v.size  # np.mean's own reduction
+        except FactorizationError as exc:
+            raise exc.at_dataset(i) from exc
         e_num = float(np.mean(dataset_means)) + noise_variance
         se = float(np.std(dataset_means, ddof=1) / math.sqrt(datasets))
         e1 = e1_bound(kernel, noise_variance, n, quad_tol)

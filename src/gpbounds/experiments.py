@@ -26,7 +26,7 @@ import numpy as np
 from . import convergence as conv
 from .bounds import RadiusSchedule, bound_report, radius_at
 from .curves import monte_carlo_curve
-from .gp import TrainingSet
+from .gp import FactorizationError, TrainingSet
 from .kernels import (MATERN_HALF, NEURAL_NETWORK, PERIODIC, POLYNOMIAL,
                       RATIONAL_QUADRATIC, SQUARED_EXPONENTIAL, Kernel,
                       KernelError, lipschitz_constant)
@@ -290,15 +290,18 @@ def run_variance_experiment(cfg: ExperimentConfig, out_path) -> list[tuple]:
     rows = []
     for n, rho in zip(grid, radii):
         acc_exact = acc_gen = acc_iso = 0.0
-        for i in range(cfg.datasets):
-            train = TrainingSet(density.sample(n, [cfg.seed, tag, n, i]),
-                                cfg.noise_variance)
-            rep = bound_report(train, kernel, cfg.test_point, rho, lip)
-            _check_bounds(rep, kernel, n, i)
-            acc_exact += rep.exact
-            acc_gen += rep.lipschitz
-            if has_iso:
-                acc_iso += rep.isotropic
+        try:
+            for i in range(cfg.datasets):
+                train = TrainingSet(density.sample(n, [cfg.seed, tag, n, i]),
+                                    cfg.noise_variance)
+                rep = bound_report(train, kernel, cfg.test_point, rho, lip)
+                _check_bounds(rep, kernel, n, i)
+                acc_exact += rep.exact
+                acc_gen += rep.lipschitz
+                if has_iso:
+                    acc_iso += rep.isotropic
+        except FactorizationError as exc:
+            raise exc.at_dataset(i) from exc
         d = float(cfg.datasets)
         rows.append((n, acc_exact / d,
                      acc_iso / d if has_iso else math.nan, acc_gen / d))

@@ -12,6 +12,9 @@ Cholesky (Harbrecht, Peters & Schneider, *Appl. Numer. Math.* 2012) gives
 ``K = Phi' Phi`` up to a residual negligible against the noise; ``"dense"``
 elsewhere, which factors ``A`` at construction and raises a failure there.
 ``mean`` uses the dense factor, made on first use off the dense route.
+A posterior computes its training inputs' features (``kernels.featurize``)
+once, for every Gram block, diagonal and pivot column, and each variance
+call those of its query points once.
 
 The factorizations and solves call LAPACK (``dpotrf``, ``dpotrs``) and BLAS
 (``dtrsm``) directly: ``cho_factor`` and ``cho_solve`` call the same LAPACK
@@ -34,8 +37,8 @@ import numpy as np
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .kernels import (MATERN_HALF, Kernel, as_point, as_points, gram_columns,
-                      kernel_diagonal, kernel_matrix)
+from .kernels import (MATERN_HALF, Features, Kernel, as_point, as_points, featurize,
+                      gram_columns, kernel_diagonal, kernel_matrix)
 
 
 # columns of the Gram built per kernel_matrix call; 64 and 128 ran alike
@@ -63,8 +66,18 @@ _RESIDUAL_NOISE_RTOL = 1e-9
 
 class FactorizationError(RuntimeError, ValueError):
     """The regularized covariance could not be Cholesky-factored: it is not
-    finite, or not positive definite.  A ValueError too, as numpy's
-    LinAlgError is."""
+    finite, or not positive definite.  The message names the kernel kind and
+    N, and the dataset once a runner adds it with ``at_dataset``.  A
+    ValueError too, as numpy's LinAlgError is."""
+
+    def __init__(self, kind: str, n: int, problem: str, dataset: int | None = None):
+        self.kind, self.n, self.problem, self.dataset = kind, n, problem, dataset
+        where = "" if dataset is None else f", dataset {dataset}"
+        super().__init__(f"{kind} kernel, N={n}{where}: {problem}")
+
+    def at_dataset(self, dataset: int) -> FactorizationError:
+        """The same failure, named as that of the given dataset."""
+        return FactorizationError(self.kind, self.n, self.problem, dataset)
 
 
 @dataclass(frozen=True)
@@ -102,7 +115,10 @@ class GPPosterior:
     def __init__(self, train: TrainingSet, kernel: Kernel):
         self.train = train
         self.kernel = kernel
-        self._name, self._rank, self._variance, self._factor = _route(kernel, train)
+        # the training inputs' features, computed once for every Gram block
+        self._X = featurize(kernel, train.inputs)
+        self._name, self._rank, self._variance, self._factor = _route(
+            kernel, self._X, train.noise_variance)
 
     @property
     def route(self) -> str:
@@ -117,7 +133,9 @@ class GPPosterior:
     @cached_property
     def _cho(self):
         """Cholesky factor of A: the dense route's, else made on first use."""
-        return _dense_factor(self.kernel, self.train) if self._factor is None else self._factor
+        if self._factor is None:
+            return _dense_factor(self.kernel, self._X, self.train.noise_variance)
+        return self._factor
 
     @cached_property
     def _alpha(self):
@@ -139,27 +157,29 @@ class GPPosterior:
             return 0.0
         if self.train.outputs is None:
             raise ValueError("posterior mean needs training outputs")
-        k_x = _query_block(self.kernel, as_points(as_point(x)), self.train.inputs)[0]
+        k_x = _query_block(self.kernel, as_points(as_point(x)), self._X)[0]
         return float(k_x @ self._alpha)
 
 
-def _route(kernel: Kernel, train: TrainingSet):
+def _route(kernel: Kernel, X: Features, s: float):
     """The one choice of route, from the kernel kind and N: its name, rank
-    (None unless low-rank), variance at query points and dense factor or None."""
-    X, n, s = train.inputs, train.n, train.noise_variance
+    (None unless low-rank), variance at query points and dense factor or None.
+    The variance computes the query points' features once per call."""
+    n = X.size
     if n == 0:
         return "prior", None, lambda Xp: kernel_diagonal(kernel, Xp), None
     # Matern-1/2 eigenvalues decay like k^-2: its Gram is never low-rank
     low_rank_kind = n >= _LOWRANK_MIN_N and kernel.kind != MATERN_HALF
     factor = _pivoted_cholesky(kernel, X, s) if low_rank_kind else None
     if factor is None:
-        L = _dense_factor(kernel, train)
+        L = _dense_factor(kernel, X, s)
 
         def dense(Xp):
             # with A = L L' and W = K_x' L'^{-1}, k_x' A^{-1} k_x = |W[i]|^2
-            W = dtrsm(1.0, L, _query_block(kernel, Xp, X), side=1, lower=1,
+            P = featurize(kernel, Xp)
+            W = dtrsm(1.0, L, _query_block(kernel, P, X), side=1, lower=1,
                       trans_a=1, overwrite_b=1)
-            return kernel_diagonal(kernel, Xp) - _squared_norms(W)
+            return kernel_diagonal(kernel, P) - _squared_norms(W)
         return "dense", None, dense, L
     pivots, Phi = factor
     # U_p = Phi[:, p] is upper triangular with U_p' U_p = K[p, p], and
@@ -167,7 +187,7 @@ def _route(kernel: Kernel, train: TrainingSet):
     X_p, U_p = X[pivots], Phi[:, pivots]
     M = Phi @ Phi.T
     M.flat[::pivots.size + 1] += s
-    R = _cholesky(M)
+    R = _cholesky(M, kernel, n)
 
     def low_rank(Xp):
         # With K = Phi' Phi, k_x = Phi' g and R R' = sI + Phi Phi', the form
@@ -175,42 +195,53 @@ def _route(kernel: Kernel, train: TrainingSet):
         # of two non-negative terms; the Woodbury form
         # (|k_x|^2 - |R^{-1} Phi k_x|^2) / s would cancel instead.
         # The rows of G = K_x' U_p^{-1} are the features g(x)'.
-        G = dtrsm(1.0, U_p, _query_block(kernel, Xp, X_p), side=1, overwrite_b=1)
-        v = kernel_diagonal(kernel, Xp) - _squared_norms(G.copy())
+        P = featurize(kernel, Xp)
+        G = dtrsm(1.0, U_p, _query_block(kernel, P, X_p), side=1, overwrite_b=1)
+        v = kernel_diagonal(kernel, P) - _squared_norms(G.copy())
         H = dtrsm(1.0, R, G, side=1, lower=1, trans_a=1, overwrite_b=1)  # in G's buffer
         return v + s * _squared_norms(H)
     return "low-rank", pivots.size, low_rank, None
 
 
-def _dense_factor(kernel: Kernel, train: TrainingSet) -> np.ndarray:
-    """Lower Cholesky factor of A.  Only the lower triangle, which dpotrf
-    reads, is built, 64 columns at a time, each C-ordered block of rows
+def _dense_factor(kernel: Kernel, X: Features, s: float) -> np.ndarray:
+    """Lower Cholesky factor of A = K + s I, with K the Gram of X.
+
+    Up to _GRAM_BLOCK points K is one block, and symmetric bit for bit, so
+    its transpose is already the Fortran-ordered buffer dpotrf factors in
+    place.  Above that only the lower triangle, which dpotrf reads, is
+    built, _GRAM_BLOCK columns at a time, each C-ordered block of rows
     copied transposed into a zeroed Fortran-ordered buffer.  Each block has
     the bits of the same entries of the whole Gram, so the factor is the
     whole Gram's bit for bit."""
-    X, n = train.inputs, train.n
-    A = np.zeros((n, n), order="F")
-    for j in range(0, n, _GRAM_BLOCK):
-        A[j:, j:j + _GRAM_BLOCK] = _checked(kernel_matrix(
-            kernel, X[j:j + _GRAM_BLOCK], X[j:]), "covariance matrix",
-            FactorizationError).T
-    A.flat[::n + 1] += train.noise_variance
-    return _cholesky(A)
+    n = X.size
+    if n <= _GRAM_BLOCK:
+        A = _finite_covariance(kernel_matrix(kernel, X), kernel, n).T
+    else:
+        A = np.zeros((n, n), order="F")
+        for j in range(0, n, _GRAM_BLOCK):
+            A[j:, j:j + _GRAM_BLOCK] = _finite_covariance(kernel_matrix(
+                kernel, X[j:j + _GRAM_BLOCK], X[j:]), kernel, n).T
+    A.flat[::n + 1] += s
+    return _cholesky(A, kernel, n)
 
 
-def _checked(block: np.ndarray, what: str, error=ValueError) -> np.ndarray:
+def _finite_covariance(block: np.ndarray, kernel: Kernel, n: int) -> np.ndarray:
+    """block, unless a value is not finite: then FactorizationError."""
     if not np.isfinite(block).all():
-        raise error(f"{what} must be finite")
+        raise FactorizationError(kernel.kind, n, "covariance matrix must be finite")
     return block
 
 
-def _query_block(kernel: Kernel, Xp: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _query_block(kernel: Kernel, Xp, X: Features) -> np.ndarray:
     """k(Xp, X), one row per query point, as the transpose of k(X, Xp): the
     Fortran-ordered layout dtrsm overwrites without a copy; every kind's
     Gram is symmetric bit for bit under swapping its arguments.  ``variance``
     and ``mean`` both read their covariances here, so both raise ValueError
     for a query whose covariances are not finite."""
-    return _checked(kernel_matrix(kernel, X, Xp), "query covariances").T
+    K = kernel_matrix(kernel, X, Xp)
+    if not np.isfinite(K).all():
+        raise ValueError("query covariances must be finite")
+    return K.T
 
 
 def _squared_norms(W: np.ndarray) -> np.ndarray:
@@ -222,20 +253,20 @@ def _squared_norms(W: np.ndarray) -> np.ndarray:
     return np.square(W, out=W) @ np.ones(W.shape[1])
 
 
-def _cholesky(A: np.ndarray) -> np.ndarray:
+def _cholesky(A: np.ndarray, kernel: Kernel, n: int) -> np.ndarray:
     """Lower Cholesky factor of A, made in A's buffer when A is
-    Fortran-ordered; the strict upper triangle is left as it was."""
+    Fortran-ordered; the strict upper triangle is left as it was.  A
+    failure names the kernel and the N of the training set A comes from."""
     L, info = dpotrf(A, lower=1, clean=0, overwrite_a=1)
     if info > 0:
-        raise FactorizationError(
-            f"covariance factorization failed for N={len(A)}: the leading "
-            f"minor of order {info} is not positive definite")
+        raise FactorizationError(kernel.kind, n, f"the leading minor of order {info} "
+                                 "of the covariance is not positive definite")
     if info < 0:
         raise ValueError(f"dpotrf rejected argument {-info}")
     return L
 
 
-def _pivoted_cholesky(kernel: Kernel, X: np.ndarray, s: float):
+def _pivoted_cholesky(kernel: Kernel, X, s: float):
     """Pivot indices p and rows Phi (r x N) with K = Phi' Phi up to a
     residual whose largest diagonal entry e has N e <= _RESIDUAL_NOISE_RTOL s;
     None when no rank up to the cap reaches that.
@@ -244,9 +275,10 @@ def _pivoted_cholesky(kernel: Kernel, X: np.ndarray, s: float):
     pivot and adds its residual column, scaled by the pivot's square root.
     The diagonal is checked before the loop and Phi after it: a column that
     is not finite leaves a nan or inf in its row, and no check runs per step.
+    X is points or their ``Features``.
     """
     n = X.size
-    d = _checked(kernel_diagonal(kernel, X), "covariance matrix", FactorizationError)
+    d = _finite_covariance(kernel_diagonal(kernel, X), kernel, n)
     stop = _PIVOT_RTOL * d.max()
     Phi = np.empty((n // _RANK_CAP_DIVISOR, n))
     column = gram_columns(kernel, X)
@@ -256,12 +288,13 @@ def _pivoted_cholesky(kernel: Kernel, X: np.ndarray, s: float):
         i = int(d.argmax())
         if d[i] <= stop:
             break
-        row = np.subtract(column(i), Phi[:m, i] @ Phi[:m], out=Phi[m])
+        row = np.dot(Phi[:m, i], Phi[:m], out=Phi[m])
+        np.subtract(column(i), row, out=row)
         row /= math.sqrt(d[i])
         d -= np.multiply(row, row, out=square)
         d[i] = 0.0      # exactly, where rounding would leave a few ulps
         pivots.append(i)
-    Phi = _checked(Phi[:len(pivots)], "covariance matrix", FactorizationError)
+    Phi = _finite_covariance(Phi[:len(pivots)], kernel, n)
     if n * d.max() > _RESIDUAL_NOISE_RTOL * s:
         return None
     return np.array(pivots, dtype=np.intp), Phi

@@ -11,9 +11,14 @@ interval.  Inputs are scalars: a point is a float, a set of points a 1-D
 array (an (n, 1) column is read as one).
 
 Each kind's values come from one formula: ``Kernel._iso`` for the isotropic
-kinds and ``_gram``, from per-point ``_features``, for every Gram entry.
-``kernel_matrix``, ``kernel_diagonal``, ``gram_columns`` and the Lipschitz
-grid walk broadcast ``_gram`` to a Gram, its diagonal or one column.
+kinds and, for every Gram entry, the argument of k formed from per-point
+``_features`` and finished by ``_finish``.  ``kernel_matrix`` forms the
+arguments of a 2-D block as BLAS outer products (``_block``);
+``kernel_diagonal``, ``gram_columns`` and the Lipschitz grid walk form those
+of a diagonal or one column elementwise (``_gram``).  Each entry is rounded
+once either way, so both give the same bits.  ``featurize`` computes a
+point set's features once, and those three functions take its ``Features``
+in place of the points.
 
 Functional forms (``s2`` is the signal variance, ``l`` the lengthscale):
 
@@ -129,7 +134,7 @@ class Kernel:
 
     def _iso(self, t: np.ndarray) -> np.ndarray:
         """k(t) for a float array t, unchecked: ``iso`` checks the kind and
-        t >= 0 first, and ``_gram`` passes |x - z|, which is never negative."""
+        t >= 0 first, and ``_finish`` passes |x - z|, which is never negative."""
         s2, l = self.signal_variance, self.lengthscale
         # The steps and their order are those of the one-line forms, so they
         # round the same.  The first writes a buffer of tau's shape (0-d for
@@ -170,8 +175,8 @@ class Kernel:
 
 
 def _features(kernel: Kernel, V: np.ndarray) -> tuple:
-    """The per-point quantities ``_gram`` builds k(x, z) from, one array
-    each: x; for the neural-network kind p = sqrt(2 sb) r and
+    """The per-point quantities k(x, z) is built from, one array each:
+    x; for the neural-network kind p = sqrt(2 sb) r and
     q = sqrt(2 sw) x r with r = 1 / sqrt(a), a = 1 + 2 (sb + sw x^2), the
     first two entries of (sqrt(2 sb), sqrt(2 sw) x, 1) scaled to unit
     length, so |p_x p_z + q_x q_z| < 1; for the periodic kind sin b and
@@ -193,10 +198,92 @@ def _features(kernel: Kernel, V: np.ndarray) -> tuple:
     return (V,)
 
 
+class Features:
+    """One point set's features for one kernel, made by ``featurize``.
+    ``flat`` holds the 1-D arrays ``_features`` returns, and ``left`` (n, k)
+    and ``right`` (k, n) the BLAS operands ``_block`` multiplies, each built
+    on first use: a query set is only ever a right operand, and the
+    training set of a low-rank posterior neither.
+
+    An isotropic argument x - z is the k = 2 product [x, 1] . [1, -z]: both
+    terms are exact, so the one rounding is the subtraction's.  Every other
+    argument is formed from k = 1 products, each rounded once as an
+    elementwise product is: one for the polynomial kind, two for the
+    periodic (sin x cos z less cos x sin z) and neural-network kinds.
+    Each operand is an (n, k) C-ordered array or its transpose.  Row views
+    of one (3, n) buffer would build faster, but OpenBLAS then raised a
+    spurious invalid flag for an infinite query point."""
+
+    __slots__ = ("kernel", "flat", "_left", "_right")
+
+    def __init__(self, kernel: Kernel, flat: tuple, left=None, right=None):
+        self.kernel, self.flat, self._left, self._right = kernel, flat, left, right
+
+    @property
+    def size(self) -> int:
+        return self.flat[0].size
+
+    @property
+    def left(self) -> list:
+        if self._left is None:
+            if self.kernel.kind in _DIFFERENCE_KINDS:
+                x = self.flat[0]
+                left = np.empty((x.size, 2))
+                left[:, 0] = x
+                left[:, 1] = 1.0
+                self._left = [left]
+            else:
+                self._left = [f.reshape(-1, 1) for f in self.flat]
+        return self._left
+
+    @property
+    def right(self) -> list:
+        if self._right is None:
+            if self.kernel.kind in _DIFFERENCE_KINDS:
+                x = self.flat[0]
+                right = np.empty((x.size, 2))
+                right[:, 0] = 1.0
+                np.negative(x, out=right[:, 1])
+                self._right = [right.T]
+            else:
+                right = [f.reshape(1, -1) for f in self.flat]
+                if self.kernel.kind == PERIODIC:
+                    right.reverse()     # (cos z, sin z)
+                self._right = right
+        return self._right
+
+    def __getitem__(self, index) -> Features:
+        """The features of the points [index], a slice or an index array,
+        with the operands built so far."""
+        left, right = self._left, self._right
+        return Features(self.kernel, tuple(f[index] for f in self.flat),
+                        None if left is None else [a[index] for a in left],
+                        None if right is None else [b[:, index] for b in right])
+
+
+# the kinds whose k reads x - z: the isotropic kinds but the periodic one
+_DIFFERENCE_KINDS = (SQUARED_EXPONENTIAL, MATERN_HALF, RATIONAL_QUADRATIC)
+
+
+def featurize(kernel: Kernel, X) -> Features:
+    """The features of the points X, computed once for every block,
+    diagonal and column built from them."""
+    return Features(kernel, _features(kernel, as_points(X)))
+
+
+def _featured(kernel: Kernel, X) -> Features:
+    """X's features: X itself when it is a ``Features`` made for kernel."""
+    if not isinstance(X, Features):
+        return featurize(kernel, X)
+    if X.kernel is not kernel:
+        raise KernelError("features were made for another kernel")
+    return X
+
+
 def _gram(kernel: Kernel, fx, fz) -> np.ndarray:
-    """k(x, z) from the features of x and z, which broadcast: (n, 1)
-    against (m,) gives a Gram, (n,) against (n,) its diagonal and (n,)
-    against scalars one column, entry for entry the same arithmetic.
+    """k(x, z) entry for entry from the 1-D features of x and z, which
+    broadcast: (n,) against (n,) gives a Gram's diagonal and (n,) against
+    scalars one column.
 
     isotropic:       k(|x - z|) by the arithmetic of ``Kernel.iso``
     periodic:        s2 exp(-2 sin^2(b_x - b_z) / l^2), with
@@ -212,12 +299,44 @@ def _gram(kernel: Kernel, fx, fz) -> np.ndarray:
                      bit for bit
     """
     if kernel.kind == POLYNOMIAL:
-        return kernel.signal_variance * (fx[0] * fz[0] + kernel.offset) ** kernel.degree
-    if kernel.kind == PERIODIC:
+        s = fx[0] * fz[0]
+    elif kernel.kind == PERIODIC:
         (sin_x, cos_x), (sin_z, cos_z) = fx, fz
-        l = kernel.lengthscale
         s = sin_x * cos_z
         s -= cos_x * sin_z
+    elif kernel.isotropic:
+        s = np.subtract(fx[0], fz[0])
+    else:
+        (p_x, q_x), (p_z, q_z) = fx, fz
+        s = p_x * p_z
+        s += q_x * q_z
+    return _finish(kernel, s)
+
+
+def _block(kernel: Kernel, X: Features, Z: Features) -> np.ndarray:
+    """k(X, Z) with the arguments of ``_gram`` formed as BLAS outer products
+    of the ``Features`` operands.  Each entry has the bits of the
+    elementwise form, except that BLAS may turn a -0 product into +0, which
+    the abs, the square, c > 0 or p > 0 of every kind's formula erase."""
+    s = np.dot(X.left[0], Z.right[0])
+    if kernel.kind == PERIODIC:
+        s -= np.dot(X.left[1], Z.right[1])
+    elif kernel.kind == NEURAL_NETWORK:
+        s += np.dot(X.left[1], Z.right[1])
+    return _finish(kernel, s)
+
+
+def _finish(kernel: Kernel, s: np.ndarray) -> np.ndarray:
+    """k from the argument s that ``_gram`` or ``_block`` formed, in s's
+    buffer except for the isotropic kinds, whose ``Kernel._iso`` writes a
+    new one."""
+    if kernel.kind == POLYNOMIAL:
+        s += kernel.offset
+        s **= kernel.degree
+        s *= kernel.signal_variance
+        return s
+    if kernel.kind == PERIODIC:
+        l = kernel.lengthscale
         s *= s
         s *= -2.0
         s /= l * l
@@ -225,11 +344,7 @@ def _gram(kernel: Kernel, fx, fz) -> np.ndarray:
         s *= kernel.signal_variance
         return s
     if kernel.isotropic:
-        t = np.subtract(fx[0], fz[0])
-        return kernel._iso(np.abs(t, out=t))
-    (p_x, q_x), (p_z, q_z) = fx, fz
-    s = p_x * p_z
-    s += q_x * q_z
+        return kernel._iso(np.abs(s, out=s))
     # rounding can push u a hair past 1 for coincident points
     np.minimum(s, 1.0, out=s)
     np.maximum(s, -1.0, out=s)
@@ -239,29 +354,31 @@ def _gram(kernel: Kernel, fx, fz) -> np.ndarray:
 
 
 def kernel_matrix(kernel: Kernel, X, Z=None) -> np.ndarray:
-    """Cross-covariance matrix k(X, Z); Z defaults to X.  Each entry depends
-    only on its own pair of points, so a block of a Gram equals the same
-    entries of the whole Gram bit for bit."""
-    fx = _features(kernel, as_points(X))
-    fz = fx if Z is None else _features(kernel, as_points(Z))
-    return _gram(kernel, [f[:, None] for f in fx], fz)
+    """Cross-covariance matrix k(X, Z); Z defaults to X.  X and Z may be
+    points or their ``Features``.  Each entry depends only on its own pair
+    of points, so a block of a Gram equals the same entries of the whole
+    Gram bit for bit."""
+    fx = _featured(kernel, X)
+    return _block(kernel, fx, fx if Z is None else _featured(kernel, Z))
 
 
 def kernel_diagonal(kernel: Kernel, X) -> np.ndarray:
-    """k(x, x) at each point of X, equal to ``np.diag(kernel_matrix(kernel,
-    X, X))`` bit for bit without forming the off-diagonal entries."""
-    Xp = as_points(X)
+    """k(x, x) at each point of X, points or their ``Features``, equal to
+    ``np.diag(kernel_matrix(kernel, X, X))`` bit for bit without forming
+    the off-diagonal entries."""
     if kernel.isotropic:
-        return np.full(Xp.size, float(kernel.signal_variance))
-    f = _features(kernel, Xp)
+        # the points' count, without features where the points are raw
+        n = _featured(kernel, X).size if isinstance(X, Features) else as_points(X).size
+        return np.full(n, float(kernel.signal_variance))
+    f = _featured(kernel, X).flat
     return _gram(kernel, f, f)
 
 
 def gram_columns(kernel: Kernel, X):
     """A function j -> k(X, X[j]), shape (n,), equal bit for bit to
-    ``kernel_matrix(kernel, X)[:, j]``.  The features of X are computed
-    once, not once per column."""
-    f = _features(kernel, as_points(X))
+    ``kernel_matrix(kernel, X)[:, j]``; X may be points or their
+    ``Features``, which are computed once, not once per column."""
+    f = _featured(kernel, X).flat
     return lambda j: _gram(kernel, f, [v[j] for v in f])
 
 

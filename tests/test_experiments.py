@@ -576,21 +576,22 @@ def test_cli_quadrature_error_names_the_bound(tmp_path):
                         r"achieved \S+, requested 1e-09", line), line
 
 
-@pytest.mark.parametrize("command, text", [
+@pytest.mark.parametrize("command, text, kind", [
     ("variance", "experiment = variance-uniform\nkernel = neural-network\n"
                  "domain_lo = 1e155\ndomain_hi = 2e155\ntest_point = 1.5e155\n"
-                 "n_max = 30\ndatasets = 2\n"),
+                 "n_max = 30\ndatasets = 2\n", "neural-network"),
     ("variance", "experiment = variance-uniform\nkernel = polynomial\n"
-                 "domain_lo = 1e80\ndomain_hi = 2e80\ntest_point = 1.5e80\n"),
+                 "domain_lo = 1e80\ndomain_hi = 2e80\ntest_point = 1.5e80\n",
+     "polynomial"),
     ("learning-curve", "experiment = learning-curve\nkernel = periodic\n"
-                       "lengthscale = 1e-200\nn_max = 5\n"),
+                       "lengthscale = 1e-200\nn_max = 5\n", "periodic"),
 ], ids=["neural-network-overflow", "polynomial-overflow", "periodic-zero-l2"])
-def test_cli_non_finite_covariance_exit_code(tmp_path, command, text):
+def test_cli_non_finite_covariance_exit_code(tmp_path, command, text, kind):
     """A config that passes validation but whose kernel values overflow, or
     are 0/0 once l^2 underflows to 0, is a numerical failure: exit code 3,
-    one error line naming the covariance, and an existing --out kept.  No
-    numpy warning comes first; under the suite's filterwarnings = error one
-    would end the run with exit code 1."""
+    one error line naming the kernel, N, the dataset and the covariance, and
+    an existing --out kept.  No numpy warning comes first; under the suite's
+    filterwarnings = error one would end the run with exit code 1."""
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text(text)
     out = tmp_path / "kept.csv"
@@ -598,7 +599,7 @@ def test_cli_non_finite_covariance_exit_code(tmp_path, command, text):
     res = CliRunner().invoke(main, [command, "--config", str(cfg), "--out", str(out)])
     assert res.exit_code == 3, res.output
     assert [line for line in res.output.splitlines() if "error" in line] == [
-        "numerical error: covariance matrix must be finite"]
+        f"numerical error: {kind} kernel, N=1, dataset 0: covariance matrix must be finite"]
     assert out.read_text() == "earlier\n"
 
 

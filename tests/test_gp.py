@@ -9,6 +9,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.linalg.lapack import dpotrf
 
 import gpbounds.gp as gp
+import gpbounds.kernels as kernels
 from gpbounds.gp import _GRAM_BLOCK, FactorizationError, GPPosterior, TrainingSet
 from gpbounds.kernels import (KERNEL_PARAMS, Kernel, KernelError, _features, _gram,
                               gram_columns, kernel_diagonal, kernel_matrix,
@@ -289,6 +290,38 @@ def test_matern_half_never_enters_the_pivot_loop(monkeypatch):
         post = GPPosterior(TrainingSet(rng.uniform(0.5, 1.5, n), 0.1), matern_half())
         assert post.route == "dense", n
     assert calls == []
+
+
+def test_features_are_computed_once_per_point_set(monkeypatch):
+    """A posterior computes its training inputs' features once, for the
+    dense blocks, the diagonal, the pivot columns and the query blocks, and
+    each variance_batch those of its query points once more.  The Gram
+    blocks still come from kernel_matrix on both routes."""
+    calls, blocks = [], []
+
+    def spy_features(kernel, V):
+        calls.append(V.size)
+        return _features(kernel, V)
+
+    def spy_matrix(kernel, X, Z=None):
+        blocks.append(kernel)
+        return kernel_matrix(kernel, X, Z)
+
+    monkeypatch.setattr(kernels, "_features", spy_features)
+    monkeypatch.setattr(gp, "kernel_matrix", spy_matrix)
+    rng = np.random.default_rng(41)
+    xs = rng.uniform(0.5, 1.5, 30)
+    for kind in ("squared-exponential", "periodic", "neural-network"):
+        for n, route in ((20, "dense"), (_GRAM_BLOCK + 36, "dense"), (300, "low-rank")):
+            calls.clear()
+            blocks.clear()
+            post = GPPosterior(TrainingSet(rng.uniform(0.5, 1.5, n), 0.1), Kernel(kind))
+            assert post.route == route, (kind, n)
+            assert calls == [n], (kind, n)
+            post.variance_batch(xs)
+            post.variance_batch(xs[:1])
+            assert calls == [n, xs.size, 1], (kind, n)
+            assert blocks, (kind, n)
 
 
 NN_KERNELS = (neural_network(),
@@ -656,7 +689,8 @@ def test_construction_factors_where_cholesky_could_fail():
 def test_factorization_error_names_n_and_the_failing_minor():
     """The third point repeats the first, so with noise 1e-300 the leading
     minor of order 3 is the first that is not positive definite."""
-    with pytest.raises(FactorizationError, match=r"N=3: the leading minor of order 3 "):
+    with pytest.raises(FactorizationError, match=r"^squared-exponential kernel, N=3: "
+                                                 r"the leading minor of order 3 "):
         GPPosterior(TrainingSet([1.0, 0.5, 1.0], 1e-300), squared_exponential())
 
 

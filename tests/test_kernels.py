@@ -3,14 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gpbounds.bounds import bound_report
 from gpbounds.gp import TrainingSet
 from gpbounds.kernels import (ALL_KINDS, GRID_POINTS, ISOTROPIC_KINDS,
                               KERNEL_PARAMS, SAFETY_FACTOR, Kernel, KernelError,
                               _features, _grid_lipschitz, as_point, as_points,
-                              gram_columns, kernel_diagonal, kernel_matrix,
+                              featurize, gram_columns, kernel_diagonal, kernel_matrix,
                               lipschitz_constant, matern_half,
                               neural_network, periodic, polynomial,
                               rational_quadratic, squared_exponential)
@@ -318,6 +318,88 @@ def test_columns_equal_the_gram_columns_for_drawn_kernels(k, X):
     column = gram_columns(k, X)
     for j in range(X.size):
         assert np.array_equal(column(j), K[:, j]), j
+
+
+def _broadcast_gram(kernel, X, Z):
+    """k(X, Z) by numpy broadcasting of the per-point features, (n, 1)
+    against (m,), step for step the arithmetic of the BLAS blocks."""
+    fx = [f[:, None] for f in _features(kernel, X)]
+    fz = _features(kernel, Z)
+    if kernel.kind == "polynomial":
+        return kernel.signal_variance * (fx[0] * fz[0] + kernel.offset) ** kernel.degree
+    if kernel.kind == "periodic":
+        (sin_x, cos_x), (sin_z, cos_z) = fx, fz
+        s = sin_x * cos_z
+        s -= cos_x * sin_z
+        s *= s
+        s *= -2.0
+        s /= kernel.lengthscale * kernel.lengthscale
+        np.exp(s, out=s)
+        s *= kernel.signal_variance
+        return s
+    if kernel.isotropic:
+        t = np.subtract(fx[0], fz[0])
+        return kernel._iso(np.abs(t, out=t))
+    (p_x, q_x), (p_z, q_z) = fx, fz
+    s = p_x * p_z
+    s += q_x * q_z
+    np.minimum(s, 1.0, out=s)
+    np.maximum(s, -1.0, out=s)
+    np.arcsin(s, out=s)
+    s *= kernel.signal_variance * (2.0 / np.pi)
+    return s
+
+
+@st.composite
+def block_inputs(draw, min_size=0):
+    """Up to 12 points uniform on [-3, 3] from a drawn seed, with drawn
+    entries set to zeros of either sign, to values whose squares, products
+    or differences overflow to inf or whose features become nan, or to any
+    finite float."""
+    n = draw(st.integers(min_size, 12))
+    x = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(-3.0, 3.0, n)
+    special = st.one_of(st.sampled_from([0.0, -0.0, 1e200, -1e200, 1.7e308]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+    for i, v in draw(st.lists(st.tuples(st.integers(0, max(n - 1, 0)), special),
+                              max_size=n)):
+        x[i] = v
+    return x
+
+
+@settings(max_examples=300)
+@given(k=drawn_kernels(), X=block_inputs(), Z=block_inputs(min_size=1),
+       cut=st.integers(0, 12))
+@example(k=Kernel("neural-network"), X=np.array([]), Z=np.array([0.5, -0.0]), cut=0)
+@example(k=Kernel("periodic"), X=np.array([-0.0]), Z=np.array([0.0]), cut=0)
+@example(k=Kernel("polynomial"), X=np.array([-0.0]),
+         Z=np.array([1e200, -0.0, 0.0, 2.0]), cut=1)
+@example(k=Kernel("squared-exponential"), X=np.array([1.7e308, -1.7e308, -0.0]),
+         Z=np.array([-1.7e308]), cut=2)
+def test_blas_blocks_keep_the_bits_of_broadcasting(k, X, Z, cut):
+    """kernel_matrix forms each 2-D block's arguments as BLAS outer
+    products, and every entry has the bits of the broadcast arithmetic,
+    compared as integers so that a -0 against +0 or a nan's sign shows.  It
+    covers 0 x m, 1 x 1, 1 x m and n x 1 blocks, zeros of both signs and
+    inputs that overflow, and blocks of rows sliced from features made
+    once."""
+    with np.errstate(all="ignore"):
+        oracle = _broadcast_gram(k, X, Z)
+        K = kernel_matrix(k, X, Z)
+        rows = kernel_matrix(k, featurize(k, X)[cut:], featurize(k, Z))
+    assert K.shape == oracle.shape == (X.size, Z.size)
+    assert np.array_equal(K.view(np.int64), oracle.view(np.int64))
+    assert np.array_equal(rows.view(np.int64), oracle[cut:].view(np.int64))
+
+
+def test_features_serve_only_their_kernel():
+    """A kernel rejects features made for another kernel, even an equal
+    one, rather than read features of the wrong form."""
+    X = np.linspace(0.5, 1.5, 5)
+    for other in (neural_network(), squared_exponential()):
+        features = featurize(other, X)
+        for call in (kernel_matrix, kernel_diagonal, gram_columns):
+            with pytest.raises(KernelError):
+                call(squared_exponential(), features)
 
 
 def test_positive_semidefinite_sweep():
