@@ -12,7 +12,11 @@ count, ``s`` the noise variance.
       k(0) - k(rho)^2 / (k(0) + s / B)
 * one-point bound:   k(0) - k(tau)^2 / (k(0) + s)
 * two-point bound:   exact posterior variance of the two nearest samples,
-  via the explicit 2x2 inverse.
+  via the 2x2 Cholesky factor.
+
+The one- and two-point bounds read k(0) - k(tau) from ``Kernel.complement``
+and are written as sums that do not cancel when samples are close and the
+noise is small.
 """
 
 from __future__ import annotations
@@ -84,13 +88,18 @@ def isotropic_bound(kernel: Kernel, ballcount: int, radius: float,
 
 
 def one_point_bound(kernel: Kernel, tau: float, noise_variance: float) -> float:
-    """Exact posterior variance given a single sample at distance tau."""
+    """Exact posterior variance given a single sample at distance tau.
+
+    With c = k(0) - k(tau) and a = k(0) + s it is k(0) - k(tau)^2 / a
+    written as (c (2 k(0) - c) + k(0) s) / a, a sum of non-negative terms,
+    so it keeps its digits where k(tau) is close to k(0) and s is small."""
     if not kernel.isotropic:
         raise BoundError("one_point_bound needs an isotropic kernel")
     if not (0 <= tau < math.inf and noise_variance > 0):
         raise BoundError("need finite tau >= 0 and noise_variance > 0")
-    k0, kt = kernel.iso([0.0, tau]).tolist()
-    return k0 - kt ** 2 / (k0 + noise_variance)
+    k0, s = kernel.signal_variance, noise_variance
+    c = kernel.complement(tau)
+    return (c * (2.0 * k0 - c) + k0 * s) / (k0 + s)
 
 
 def two_point_bound(kernel: Kernel, tau1: float, tau2: float, delta: float,
@@ -99,7 +108,16 @@ def two_point_bound(kernel: Kernel, tau1: float, tau2: float, delta: float,
     separated by delta.
 
     The triangle inequality |tau1 - tau2| <= delta <= tau1 + tau2 must hold
-    (in one dimension only the two endpoints are realizable).
+    (in one dimension only the two endpoints are realizable).  The 2 x 2
+    Cholesky factor of [[a, k(delta)], [k(delta), a]], a = k(0) + s, gives
+    v1 - t^2 / D: v1 is the one-point variance of the first sample,
+    D = (a^2 - k(delta)^2) / a and t = (a k(tau2) - k(delta) k(tau1)) / a.
+    With the complements c_i = k(0) - k(tau_i) and e = k(0) - k(delta),
+    D = (e + s) (2 k(0) + s - e) / a and
+    a t = k(0) (e + c1 - c2) - e c1 + s k(tau2), so neither cancels where
+    the samples are close and s is small.  The sample with the smaller
+    complement is taken first, so that v1 is the smaller one-point
+    variance; for the periodic kind that can be the farther sample.
     """
     if not kernel.isotropic:
         raise BoundError("two_point_bound needs an isotropic kernel")
@@ -110,10 +128,13 @@ def two_point_bound(kernel: Kernel, tau1: float, tau2: float, delta: float,
     slack = 1e-9 * (1.0 + tau1 + tau2)
     if not (abs(tau1 - tau2) - slack <= delta <= tau1 + tau2 + slack):
         raise BoundError("delta violates the triangle inequality for (tau1, tau2)")
-    k0, b, k1, k2 = kernel.iso([0.0, delta, tau1, tau2]).tolist()
-    a = k0 + noise_variance
-    det = a * a - b * b
-    return k0 - (a * (k1 * k1 + k2 * k2) - 2.0 * b * k1 * k2) / det
+    k0, s = kernel.signal_variance, noise_variance
+    c1, c2, e = kernel.complement([tau1, tau2, delta]).tolist()
+    c1, c2 = min(c1, c2), max(c1, c2)
+    a = k0 + s
+    v1 = (c1 * (2.0 * k0 - c1) + k0 * s) / a
+    t = (k0 * (e + c1 - c2) - e * c1 + s * (k0 - c2)) / a
+    return v1 - t * t / ((e + s) * (2.0 * k0 + s - e) / a)
 
 
 @dataclass(frozen=True)

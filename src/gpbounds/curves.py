@@ -19,12 +19,16 @@ estimated by Monte Carlo, and three upper bounds on it:
 Each bound is k(0) + s minus blocks (g, alpha, beta), one for e1 and e2 and
 three for e_rho (inner sections, left and right boundary).  A block is the
 expectation of g over the width density proportional to (1-d)^alpha d^beta,
-in one vectorized pass: a Gauss-Jacobi outer rule (Golub & Welsch, 1969), a
-Gauss-Legendre inner rule, one kernel call on the node grid.  Both rules
-double from 24 x 32 nodes until successive sums agree within quad_tol / (2B)
-for B blocks; the error estimates |Q_2m - Q_m| + m eps sum |w_i g_i| (the
-last term a rounding floor) are summed, ``QuadratureError`` reports a sum
-past ``quad_tol``, and a block listed twice is integrated once.
+in one vectorized pass: a Gauss-Jacobi outer rule (Golub & Welsch, 1969)
+over the width d, and at each node the inner integrals over [0, d] that g
+needs.  For the squared-exponential kind these are closed forms in erf
+(``_se_k2``, ``_se_pair_term``).  A Gauss-Legendre inner rule, one kernel
+call on the node grid, serves only the kinds without a closed form.  The
+rules double from 24 outer x 32 inner nodes until successive sums agree
+within quad_tol / (2B) for B blocks; the error estimates |Q_2m - Q_m| +
+m eps sum |w_i g_i| (the last term a rounding floor) are summed,
+``QuadratureError`` reports a sum past ``quad_tol``, and a block listed
+twice is integrated once.
 
 ``greedy_select_n`` picks the section size per N by walking n upward while
 the bound still improves.
@@ -41,11 +45,12 @@ from scipy.linalg import eigh_tridiagonal
 
 from .convergence import uniform
 from .gp import FactorizationError, GPPosterior, TrainingSet
-from .kernels import Kernel
+from .kernels import SQUARED_EXPONENTIAL, Kernel
 
 # outer and inner node counts of the first rule; both double per level
 _START_NODES = (24, 32)
 _LEVELS = 5
+_HALF_ROOT_PI = math.sqrt(math.pi) / 2.0
 
 
 class CurveError(ValueError):
@@ -118,10 +123,73 @@ def _curve_bound(total: float, blocks, quad_tol: float, where: tuple) -> float:
 
 
 def _k2_integral(kernel: Kernel, d, lo: float, hi: float, x, w):
-    """Integral of k(tau)^2 over [lo d, hi d] at each d, by the rule (x, w)
-    on [0, 1]."""
+    """Integral of k(tau)^2 over [lo d, hi d] at each d: F(hi d) - F(lo d)
+    in closed form for the squared-exponential kind, by the rule (x, w) on
+    [0, 1] for the others."""
+    if kernel.kind == SQUARED_EXPONENTIAL:
+        f = _se_k2(kernel, hi * d)
+        return f - _se_k2(kernel, lo * d) if lo else f
     t = np.multiply.outer(d, lo + (hi - lo) * x)
     return (hi - lo) * d * (kernel.iso(t) ** 2 @ w)
+
+
+def _se_k2(kernel: Kernel, u):
+    """F(u) = int_0^u k^2 = s2^2 l (sqrt(pi) / 2) erf(u / l) for the
+    squared-exponential kind, at each entry of the 1-D array u.  erf comes
+    from math.erf: scipy.special would add its import to every start."""
+    l = kernel.lengthscale
+    erf = np.fromiter(map(math.erf, (u / l).tolist()), float, u.size)
+    return kernel.signal_variance ** 2 * l * _HALF_ROOT_PI * erf
+
+
+def _se_pair(kernel: Kernel, d):
+    """P(d) = int_0^d k(t) k(d - t) dt for the squared-exponential kind:
+    t^2 + (d - t)^2 = 2 (t - d/2)^2 + d^2/2 gives
+    s2^2 l sqrt(pi) e^(-(d / 2l)^2) erf(d / 2l) = 2 e^(-(d / 2l)^2) F(d / 2)."""
+    h = d / (2.0 * kernel.lengthscale)
+    return 2.0 * np.exp(-h * h) * _se_k2(kernel, 0.5 * d)
+
+
+def _gap_series(terms: int) -> np.ndarray:
+    """Taylor coefficients g_2 .. g_(terms+1), lowest first, of
+    G(h) = (sqrt(pi) / 2) (erf(2h) - 2 e^(-h^2) erf(h)) = sum_n g_n h^(2n+1);
+    g_0 = g_1 = 0.  G = A - B with A = (sqrt(pi) / 2) erf(2h), whose
+    A' = 2 e^(-4h^2) gives (2n + 1) a_n = 2 (-4)^n / n!, and
+    B = sqrt(pi) e^(-h^2) erf(h), whose B' = 2 e^(-2h^2) - 2hB gives
+    (2n + 1) b_n = 2 (-2)^n / n! - 2 b_(n-1).  Each g_n = a_n - b_n is
+    within a few eps of its exact rational value."""
+    b, out = 0.0, []
+    for n in range(terms + 2):
+        c = 2.0 / math.factorial(n)
+        b = (c * (-2.0) ** n - 2.0 * b) / (2 * n + 1)
+        out.append(c * (-4.0) ** n / (2 * n + 1) - b)
+    return np.array(out[2:])
+
+
+# Below h = 1/4 the difference erf(2h) - 2 e^(-h^2) erf(h) loses more than
+# 350 eps of G, so there G comes from 12 terms of its series; the first
+# term left out is below 1e-18 of G.
+_GAP_SWITCH = 0.25
+_GAP_SERIES = _gap_series(12)
+
+
+def _se_pair_term(kernel: Kernel, s: float, d, f):
+    """e2's pair term [a F(d) - k(d) P(d)] / (a^2 - k(d)^2) for the
+    squared-exponential kind, a = k(0) + s, given f = F(d).  With
+    c = k(0) - k(d) the numerator is k(0) (F - P) + s F + c P and the
+    denominator (s + c) (2 k(0) + s - c), non-negative terms that keep their
+    digits as d -> 0 at small s, where a F and k(d) P agree in all but
+    their last few.  F - P = (1/2) int_0^d (k(t) - k(d - t))^2 dt is
+    s2^2 l G(d / 2l)."""
+    k0, l = kernel.signal_variance, kernel.lengthscale
+    c = kernel.complement(d)
+    p = _se_pair(kernel, d)
+    h = d / (2.0 * l)
+    hh = h * h
+    powers = np.vander(hh, _GAP_SERIES.size, increasing=True)
+    series = k0 * k0 * l * (hh * hh * h) * (powers @ _GAP_SERIES)
+    gap = np.where(h < _GAP_SWITCH, series, f - p)
+    return (k0 * gap + s * f + c * p) / ((s + c) * (2.0 * k0 + s - c))
 
 
 def _check_curve_inputs(kernel: Kernel, noise_variance: float, n: int):
@@ -171,12 +239,15 @@ def e2_bound(kernel: Kernel, noise_variance: float, n: int,
     a = kernel.iso(0.0) + noise_variance
 
     def per_gap(d, x, w):
-        kd = kernel.iso(d)
-        t = np.multiply.outer(d, x)
-        kt, kr = kernel.iso(np.stack([t, d[:, None] - t]))
-        pair = d * ((a * kt - kd[:, None] * kr) * kt @ w) / (a * a - kd * kd)
-        return (2.0 / a * _k2_integral(kernel, d, 0.0, 1.0, x, w)
-                + 2.0 * (n - 1) * pair)
+        f = _k2_integral(kernel, d, 0.0, 1.0, x, w)
+        if kernel.kind == SQUARED_EXPONENTIAL:
+            pair = _se_pair_term(kernel, noise_variance, d, f)
+        else:
+            kd = kernel.iso(d)
+            t = np.multiply.outer(d, x)
+            kt, kr = kernel.iso(np.stack([t, d[:, None] - t]))
+            pair = d * ((a * kt - kd[:, None] * kr) * kt @ w) / (a * a - kd * kd)
+        return 2.0 / a * f + 2.0 * (n - 1) * pair
 
     return _curve_bound(a, [(per_gap, n - 1, 0)], quad_tol,
                         (kernel.kind, n, "e2_bound"))

@@ -235,10 +235,14 @@ def log_grid(n_min: int, n_max: int, per_decade: int) -> list[int]:
     return sorted(v for v in grid if n_min <= v <= n_max)
 
 
+def _conversion(v) -> str:
+    """The printf conversion of one CSV value: integers whole, any other
+    value with 17 significant digits, so that a float reads back exactly."""
+    return "%d" if isinstance(v, (int, np.integer)) else "%.17g"
+
+
 def format_value(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
+    return _conversion(v) % v
 
 
 def _check_writable(path) -> None:
@@ -254,11 +258,18 @@ def _check_writable(path) -> None:
 
 
 def write_csv(path, header, rows) -> None:
+    """Write the header and rows in one write.  Each row is formatted by one
+    % operation, with a format built from its values' types, and rebuilt
+    only when they differ from the previous row's."""
+    lines = [",".join(header) + "\n"]
+    types = fmt = None
+    for row in map(tuple, rows):
+        if (row_types := tuple(map(type, row))) != types:
+            types, fmt = row_types, ",".join(map(_conversion, row)) + "\n"
+        lines.append(fmt % row)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(format_value(v) for v in row) + "\n")
+            fh.write("".join(lines))
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from None
 
@@ -312,6 +323,12 @@ def run_variance_experiment(cfg: ExperimentConfig, out_path) -> list[tuple]:
 def _check_bounds(rep, kernel: Kernel, n: int, dataset: int) -> None:
     """Raise BoundViolationError unless each bound the report holds is at
     least its exact variance less 1e-10, a margin for rounding."""
+    floor = rep.exact - 1e-10
+    if (rep.lipschitz >= floor
+            and (rep.isotropic is None or rep.isotropic >= floor)
+            and (rep.one_point is None or rep.one_point >= floor)
+            and (rep.two_point is None or rep.two_point >= floor)):
+        return
     for name in ("lipschitz", "isotropic", "one_point", "two_point"):
         bound = getattr(rep, name)
         if bound is not None and not bound >= rep.exact - 1e-10:

@@ -92,9 +92,12 @@ class TrainingSet:
     def __post_init__(self):
         X = as_points(self.inputs)
         object.__setattr__(self, "inputs", X)
-        if not np.isfinite(X).all():
+        # a finite sum of squares proves every entry finite, and costs less
+        # than the scan; np.vdot, unlike X.sum(), raises no floating-point
+        # warning where the sum overflows or adds inf to -inf
+        if not math.isfinite(np.vdot(X, X)) and not np.isfinite(X).all():
             raise ValueError("training inputs must be finite")
-        if not (self.noise_variance > 0 and np.isfinite(self.noise_variance)):
+        if not (self.noise_variance > 0 and math.isfinite(self.noise_variance)):
             raise ValueError("noise_variance must be positive and finite")
         if self.outputs is not None:
             y = np.asarray(self.outputs, dtype=float).reshape(-1)

@@ -11,9 +11,10 @@ interval.  Inputs are scalars: a point is a float, a set of points a 1-D
 array (an (n, 1) column is read as one).
 
 Each kind's values come from one formula: ``Kernel._iso`` for the isotropic
-kinds and, for every Gram entry, the argument of k formed from per-point
-``_features`` and finished by ``_finish``.  ``kernel_matrix`` forms the
-arguments of a 2-D block as BLAS outer products (``_block``);
+kinds (and ``Kernel._complement`` for k(0) - k(tau), which the one- and
+two-point bounds read) and, for every Gram entry, the argument of k formed
+from per-point ``_features`` and finished by ``_finish``.  ``kernel_matrix``
+forms the arguments of a 2-D block as BLAS outer products (``_block``);
 ``kernel_diagonal``, ``gram_columns`` and the Lipschitz grid walk form those
 of a diagonal or one column elementwise (``_gram``).  Each entry is rounded
 once either way, so both give the same bits.  ``featurize`` computes a
@@ -124,13 +125,23 @@ class Kernel:
 
     def iso(self, tau):
         """Evaluate k(tau) for an isotropic kernel; tau >= 0, scalar or array."""
+        v = self._iso(self._distances(tau))
+        return float(v) if v.ndim == 0 else v
+
+    def complement(self, tau):
+        """Evaluate k(0) - k(tau) for an isotropic kernel, as ``iso`` takes
+        tau, with no cancellation where k(tau) is close to k(0)."""
+        v = self._complement(self._distances(tau))
+        return float(v) if v.ndim == 0 else v
+
+    def _distances(self, tau) -> np.ndarray:
+        """tau as a float array, checked: the kind is isotropic, tau >= 0."""
         if not self.isotropic:
             raise KernelError(f"{self.kind} has no isotropic form")
         t = np.asarray(tau, dtype=float)
         if np.any(t < 0):
             raise KernelError("tau must be non-negative")
-        v = self._iso(t)
-        return float(v) if v.ndim == 0 else v
+        return t
 
     def _iso(self, t: np.ndarray) -> np.ndarray:
         """k(t) for a float array t, unchecked: ``iso`` checks the kind and
@@ -164,6 +175,47 @@ class Kernel:
             np.exp(v, out=v)
         v *= s2
         return v
+
+    def _complement(self, t: np.ndarray) -> np.ndarray:
+        """k(0) - k(t) for a float array t >= 0, unchecked.  Each kind's
+        k(t) is s2 exp(-r(t)), so the complement is -s2 expm1(-r(t)), with
+        no cancellation as t -> 0:
+
+        * squared-exponential   r = (t / l)^2 / 2
+        * matern-1/2            r = t / l
+        * rational-quadratic    r = a log1p((t / l)^2 / (2 a))
+        * periodic              r = 2 (sin(pi u / p) / l)^2, u = min(f, p - f)
+                                with f = fmod(t, p); both steps are exact,
+                                and |pi u / p| <= pi / 2 keeps sin accurate
+                                near the period's multiples, where k(t)
+                                returns to k(0)
+        """
+        # one buffer of t's shape, changed in place, as in ``_iso``
+        r = np.empty(t.shape)
+        if self.kind == PERIODIC:
+            p = self.period
+            np.fmod(t, p, out=r)
+            np.minimum(r, p - r, out=r)
+            r *= np.pi
+            r /= p
+            np.sin(r, out=r)
+            r /= self.lengthscale
+            r *= r
+            r *= 2.0
+        else:
+            np.divide(t, self.lengthscale, out=r)
+            if self.kind == SQUARED_EXPONENTIAL:
+                r *= r
+                r *= 0.5
+            elif self.kind == RATIONAL_QUADRATIC:
+                r *= r
+                r /= 2.0 * self.alpha
+                np.log1p(r, out=r)
+                r *= self.alpha
+        np.negative(r, out=r)
+        np.expm1(r, out=r)
+        r *= -self.signal_variance
+        return r
 
     def __call__(self, x, z) -> float:
         """Evaluate k(x, z) for a pair of points: the entry of their Gram."""

@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gpbounds.bounds import (BoundError, RadiusSchedule, ball_count,
                              bound_report, isotropic_bound, lipschitz_bound,
@@ -10,7 +11,7 @@ from gpbounds.bounds import (BoundError, RadiusSchedule, ball_count,
 from gpbounds.experiments import (PRESETS, config_kernel, log_grid,
                                   preset_config, resolved_schedule_alpha)
 from gpbounds.gp import GPPosterior, TrainingSet
-from gpbounds.kernels import (ALL_KINDS, KERNEL_PARAMS, Kernel,
+from gpbounds.kernels import (ALL_KINDS, ISOTROPIC_KINDS, KERNEL_PARAMS, Kernel,
                               lipschitz_constant, matern_half,
                               neural_network, periodic, polynomial,
                               rational_quadratic, squared_exponential)
@@ -82,10 +83,15 @@ def test_isotropic_bound_frozen_value():
 
 
 def test_isotropic_bound_single_sample_equals_one_point():
+    """The same variance by two arithmetics: k(0) - k(rho)^2 / (k(0) + s),
+    whose subtraction rounds to a few eps of k(0) = 1, and the one-point
+    bound's sum of non-negative terms."""
     for factory in ISO_DECREASING:
         k = factory()
         for tau in (0.0, 0.2, 1.3):
-            assert isotropic_bound(k, 1, tau, 0.1) == one_point_bound(k, tau, 0.1)
+            assert math.isclose(isotropic_bound(k, 1, tau, 0.1),
+                                one_point_bound(k, tau, 0.1), rel_tol=0.0,
+                                abs_tol=4 * np.finfo(float).eps)
 
 
 def test_isotropic_bound_perfect_information_limit():
@@ -179,23 +185,30 @@ def test_two_points_never_worse_than_the_nearest_alone():
 @pytest.mark.parametrize("factory", [squared_exponential, matern_half,
                                      rational_quadratic, periodic])
 def test_each_pointwise_bound_reads_k_from_one_iso_call(factory, monkeypatch):
-    """isotropic_bound, one_point_bound and two_point_bound each take k(0)
-    and their distances' k from one k.iso call, so their formulas see the
+    """isotropic_bound takes k(0) and k(rho) from one k.iso call, and
+    one_point_bound and two_point_bound take their distances' complements
+    k(0) - k(tau) from one k.complement call, so each formula sees the
     entries of one array."""
     kernel = factory(0.4, 1.3)
-    iso, calls = Kernel.iso, []
+    calls = []
 
-    def spy(self, tau):
-        calls.append(tau)
-        return iso(self, tau)
+    def spy(method):
+        def wrapper(self, tau):
+            calls.append(tau)
+            return method(self, tau)
+        return wrapper
 
-    monkeypatch.setattr(Kernel, "iso", spy)
-    k0, a, b, c = iso(kernel, [0.0, 0.31, 0.47, 0.16])
+    iso, complement = Kernel.iso, Kernel.complement
+    monkeypatch.setattr(Kernel, "iso", spy(iso))
+    monkeypatch.setattr(Kernel, "complement", spy(complement))
+    k0, a = iso(kernel, [0.0, 0.31])
+    c1, c2, e = complement(kernel, [0.31, 0.47, 0.16])
+    s, v1 = 0.1, (c1 * (2.0 * k0 - c1) + k0 * 0.1) / (k0 + 0.1)
+    t = (k0 * (e + c1 - c2) - e * c1 + s * (k0 - c2)) / (k0 + s)
     cases = [
-        (lambda: one_point_bound(kernel, 0.31, 0.1), k0 - a ** 2 / (k0 + 0.1)),
+        (lambda: one_point_bound(kernel, 0.31, 0.1), v1),
         (lambda: two_point_bound(kernel, 0.31, 0.47, 0.16, 0.1),
-         k0 - ((k0 + 0.1) * (a * a + b * b) - 2.0 * c * a * b)
-         / ((k0 + 0.1) ** 2 - c * c)),
+         v1 - t * t / ((e + s) * (2.0 * k0 + s - e) / (k0 + s))),
     ]
     if kernel.decreasing:
         cases.append((lambda: isotropic_bound(kernel, 3, 0.31, 0.1),
@@ -203,6 +216,67 @@ def test_each_pointwise_bound_reads_k_from_one_iso_call(factory, monkeypatch):
     for bound, want in cases:
         calls.clear()
         assert bound() == want and len(calls) == 1
+
+
+def _reference_kernel(kernel, tau):
+    """k(tau) at 60 digits from the kernel's own parameters."""
+    t, l = mpmath.mpf(tau), mpmath.mpf(kernel.lengthscale)
+    if kernel.kind == "squared-exponential":
+        r = (t / l) ** 2 / 2
+    elif kernel.kind == "matern-1/2":
+        r = t / l
+    elif kernel.kind == "rational-quadratic":
+        alpha = mpmath.mpf(kernel.alpha)
+        r = alpha * mpmath.log(1 + t * t / (2 * alpha * l * l))
+    else:
+        r = 2 * (mpmath.sin(mpmath.pi * t / mpmath.mpf(kernel.period)) / l) ** 2
+    return mpmath.mpf(kernel.signal_variance) * mpmath.exp(-r)
+
+
+@st.composite
+def close_sample_cases(draw):
+    """An isotropic kernel with large s2 and l, tiny noise, and a test point
+    and two samples in a window 1e-3 to 1 wide."""
+    kind = draw(st.sampled_from(ISOTROPIC_KINDS))
+    ranges = {"lengthscale": (1.0, 100.0), "signal_variance": (1.0, 50.0),
+              "alpha": (0.1, 10.0), "period": (0.5, 4.0)}
+    kernel = Kernel(kind, **{name: draw(st.floats(*ranges[name]))
+                             for name in KERNEL_PARAMS[kind]})
+    noise = 10.0 ** draw(st.floats(-7.0, -2.0))
+    width = 10.0 ** draw(st.floats(-3.0, 0.0))
+    x, x1, x2 = (1.0 + width * draw(st.floats(0.0, 1.0)) for _ in range(3))
+    return kernel, noise, x, x1, x2
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=close_sample_cases())
+# draws on which the a^2 - k(delta)^2 form of the two-point bound was off
+# by up to 16 times its value (4.9e-4 relative for Matern-1/2), and
+# k(0) - k(tau)^2 / a by 1e-7 relative
+@example(case=(Kernel("squared-exponential", lengthscale=6.69, signal_variance=41.43),
+               1.1e-07, 1.0006, 1.0004, 1.0003))
+@example(case=(Kernel("rational-quadratic", lengthscale=13.81, signal_variance=36.78,
+                      alpha=1.61), 1.7e-07, 1.0005, 1.0001, 1.0))
+@example(case=(Kernel("periodic", lengthscale=30.38, signal_variance=34.67,
+                      period=0.89), 1.9e-07, 1.0003, 1.0003, 1.0002))
+@example(case=(Kernel("matern-1/2", lengthscale=27.21, signal_variance=27.21),
+               2.5e-07, 1.0003, 1.001, 1.001))
+@example(case=(Kernel("squared-exponential", lengthscale=53.7, signal_variance=44.75),
+               1.1e-07, 1.0033, 1.0024, 1.0143))
+def test_one_and_two_point_bounds_keep_their_digits(case):
+    """Both bounds lie within 1e-10 relative of the exact posterior
+    variance at 60 digits, for the distances the bounds are given."""
+    kernel, noise, x, x1, x2 = case
+    t1, t2, delta = abs(x1 - x), abs(x2 - x), abs(x1 - x2)
+    if t2 < t1:
+        t1, t2 = t2, t1
+    with mpmath.workdps(60):
+        k0, k1, k2, b = (_reference_kernel(kernel, t) for t in (0.0, t1, t2, delta))
+        a = k0 + mpmath.mpf(noise)
+        one = k0 - k1 * k1 / a
+        two = k0 - (a * (k1 * k1 + k2 * k2) - 2 * b * k1 * k2) / (a * a - b * b)
+    assert abs(one_point_bound(kernel, t1, noise) - one) <= 1e-10 * one
+    assert abs(two_point_bound(kernel, t1, t2, delta, noise) - two) <= 1e-10 * two
 
 
 SE = squared_exponential()

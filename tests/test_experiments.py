@@ -311,6 +311,29 @@ def test_format_value_round_trips():
     assert format_value(math.nan) == "nan"
 
 
+def per_value_rule(v) -> str:
+    """The CSV text of one value as the runners once wrote it, value by
+    value."""
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".17g")
+
+
+def test_write_csv_keeps_the_bytes_of_the_per_value_rule(tmp_path):
+    """One % operation per row gives the text of the per-value rule, also
+    where a row's types differ from the previous row's."""
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1,
+               np.float64(-2.5e-8), np.float64(1.0 / 3.0)]
+    rows = [(1, 0.5, np.float64(0.25)), (np.int64(7), -0.0, 5e-324),
+            (np.int64(-3), np.uint64(2 ** 64 - 1), True),
+            tuple(special[:3]), tuple(special[3:6]), [2, 3.0, np.int32(4)],
+            tuple(special[6:]), (10 ** 20, 1e300, -math.inf), ()]
+    path = tmp_path / "rows.csv"
+    experiments.write_csv(path, ("a", "b", "c"), rows)
+    want = "a,b,c\n" + "".join(",".join(map(per_value_rule, row)) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode()
+
+
 # ------------------------------------------------------------------ presets
 
 def test_all_presets_validate():

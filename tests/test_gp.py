@@ -133,8 +133,14 @@ def test_training_set_validation():
         TrainingSet([1.0], 0.0)
     with pytest.raises(ValueError):
         TrainingSet([1.0], -0.3)
-    with pytest.raises(ValueError):
-        TrainingSet([np.inf], 0.1)
+    for bad in ([np.inf], [1.0, np.nan], [np.inf, -np.inf], [1e308, -np.inf]):
+        with pytest.raises(ValueError, match="training inputs must be finite"):
+            TrainingSet(bad, 0.1)
+    for noise in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise_variance must be positive and finite"):
+            TrainingSet([1.0], noise)
+    # finite inputs whose sum overflows pass, with no floating-point warning
+    assert TrainingSet([1e308, 1e308, -1e308], 0.1).n == 3
     with pytest.raises(ValueError):
         TrainingSet([1.0, 2.0], 0.1, [1.0])
 

@@ -1,12 +1,15 @@
 """The Gauss rules behind the learning-curve bounds, checked against nested
 adaptive quadrature, against the moments of the Beta laws they integrate
-over, and against values recorded from the adaptive implementation."""
+over, and against values recorded from the adaptive implementation; and the
+squared-exponential closed forms that take the inner rule's place."""
 
+import itertools
 import math
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +17,9 @@ from scipy.integrate import quad
 from scipy.stats import beta as beta_dist
 
 import gpbounds
-from gpbounds.curves import (_jacobi_rule, e1_bound, e2_bound, e_rho_bound,
-                             greedy_select_n, segment_plan)
+from gpbounds import curves
+from gpbounds.curves import (_jacobi_rule, _se_k2, _se_pair, _se_pair_term, e1_bound,
+                             e2_bound, e_rho_bound, greedy_select_n, segment_plan)
 from gpbounds.experiments import log_grid
 from gpbounds.kernels import (matern_half, periodic, rational_quadratic,
                               squared_exponential)
@@ -99,6 +103,72 @@ def test_rules_match_nested_adaptive_quadrature(kernel, n):
                         - oracle_e_rho(kernel, n, size)) <= 1e-10)
 
 
+# --------------------------------------- squared-exponential closed forms
+
+@pytest.mark.parametrize("lengthscale", (0.05, 0.3, 1.0, 3.0))
+def test_se_closed_forms_match_the_gauss_legendre_rule(lengthscale):
+    """F(d) = int_0^d k^2 and P(d) = int_0^d k(t) k(d - t) dt against a
+    256-node Gauss-Legendre rule on [0, d], to 1e-14 relative.  P carries
+    e^(-h^2), h = d / 2l, whose relative error from the rounding of h is
+    about h^2 eps, so P may also differ by 4 h^2 eps (2.0e-14 where
+    l = 0.05 and d = 0.905, at P ~ e^(-82))."""
+    kernel = squared_exponential(lengthscale=lengthscale, signal_variance=1.7)
+    d = np.concatenate([np.linspace(0.0, 1.0, 201)[1:], [1e-9, 1e-5, 1e-3, 0.013]])
+    x, w = _jacobi_rule(256, 0, 0)
+    t = np.multiply.outer(d, x)
+    f_rule = d * (kernel.iso(t) ** 2 @ w)
+    p_rule = d * (kernel.iso(t) * kernel.iso(d[:, None] - t) @ w)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(_se_k2(kernel, d) - f_rule) <= 1e-14 * f_rule)
+    h = d / (2.0 * lengthscale)
+    assert np.all(np.abs(_se_pair(kernel, d) - p_rule)
+                  <= (1e-14 + 4.0 * h * h * eps) * p_rule)
+
+
+@pytest.mark.parametrize("lengthscale", (0.05, 0.3, 3.0, 30.0))
+def test_se_pair_term_keeps_its_digits_at_small_noise(lengthscale):
+    """e2's pair term [a F(d) - k(d) P(d)] / (a^2 - k(d)^2) lies within
+    1e-13 relative of its value at 60 digits, also where s is 1e-7 of
+    k(0) and d / l is 1e-6: there a F and k(d) P, and likewise a^2 and
+    k(d)^2, agree in all but their last digits."""
+    d = np.geomspace(1e-6, 1.0, 25)
+    for s2, noise in itertools.product((1.0, 50.0), (5e-6, 0.05, 5.0)):
+        kernel = squared_exponential(lengthscale=lengthscale, signal_variance=s2)
+        got = _se_pair_term(kernel, noise, d, _se_k2(kernel, d))
+        with mpmath.workdps(60):
+            l, s2m, a = mpmath.mpf(lengthscale), mpmath.mpf(s2), s2 + mpmath.mpf(noise)
+            for value, dm in zip(got, map(mpmath.mpf, d)):
+                f = s2m ** 2 * l * mpmath.sqrt(mpmath.pi) / 2 * mpmath.erf(dm / l)
+                p = (s2m ** 2 * l * mpmath.sqrt(mpmath.pi) * mpmath.exp(-(dm / (2 * l)) ** 2)
+                     * mpmath.erf(dm / (2 * l)))
+                kd = s2m * mpmath.exp(-(dm / l) ** 2 / 2)
+                want = (a * f - kd * p) / (a * a - kd * kd)
+                assert abs(value - want) <= 1e-13 * want
+
+
+def test_se_bounds_match_the_rule_at_the_curve_se_rows(monkeypatch):
+    """e1, e2 and e_rho of the squared-exponential kind from the closed
+    forms lie within 1e-12 relative of the Gauss-Legendre inner rule's
+    values, which the kind takes once its closed forms are switched off,
+    at the rows N = 1, 10, 100 and 300 and every valid section size up to
+    7."""
+    kernel = squared_exponential(lengthscale=0.3)
+
+    def bounds():
+        out = [e1_bound(kernel, NOISE, n) for n in (1, 10, 100, 300)]
+        out += [e2_bound(kernel, NOISE, n) for n in (1, 10, 100, 300)]
+        return out + [e_rho_bound(kernel, NOISE, n, size)
+                      for n in (10, 100, 300) for size in range(2, 8)
+                      if segment_plan(n, size).valid]
+
+    closed = bounds()
+    monkeypatch.setattr(curves, "SQUARED_EXPONENTIAL", None)
+    rule = bounds()
+    assert len(closed) == 24 and closed != rule
+    for got, want in zip(closed, rule):
+        assert abs(got - want) <= 1e-12 * want
+
+
 # ---------------------------------------------------------- Jacobi rules
 
 def test_jacobi_rule_at_ten_thousand_samples():
@@ -153,11 +223,13 @@ def test_greedy_sizes_along_the_preset_grid(kernel, frozen):
 def test_import_leaves_adaptive_quadrature_unloaded():
     """The package needs neither scipy.integrate nor scipy.stats, which
     would add about half a second to every start, nor scipy.spatial and
-    scipy.sparse, since points are scalars."""
+    scipy.sparse, since points are scalars, nor scipy.special, whose import
+    costs about 40 ms and whose erf math.erf replaces."""
     src = str(Path(gpbounds.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import gpbounds.cli; "
             "print([m for m in ('scipy.integrate', 'scipy.stats', "
-            "'scipy.spatial', 'scipy.sparse') if m in sys.modules])")
+            "'scipy.spatial', 'scipy.sparse', 'scipy.special') "
+            "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code, src],
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
