@@ -8,15 +8,15 @@ count, ``s`` the noise variance.
 
 * general (Lipschitz) bound, as proved:
       (k s + B (4 k L rho - L^2 rho^2)) / (B (k + 2 L rho) + s)
-* isotropic decreasing bound:
+* isotropic decreasing bound, the one-point bound with noise s / B:
       k(0) - k(rho)^2 / (k(0) + s / B)
 * one-point bound:   k(0) - k(tau)^2 / (k(0) + s)
 * two-point bound:   exact posterior variance of the two nearest samples,
   via the 2x2 Cholesky factor.
 
-The one- and two-point bounds read k(0) - k(tau) from ``Kernel.complement``
-and are written as sums that do not cancel when samples are close and the
-noise is small.
+The isotropic, one- and two-point bounds read k(0) - k(tau) from
+``Kernel.complement`` and are written as sums that do not cancel when
+samples are close and the noise is small.
 """
 
 from __future__ import annotations
@@ -73,8 +73,11 @@ def isotropic_bound(kernel: Kernel, ballcount: int, radius: float,
                     noise_variance: float) -> float:
     """Variance bound for isotropic kernels with non-increasing k(tau).
 
-    Requires at least one sample in the ball; report k(0) yourself for an
-    empty ball (bound_report does).
+    k(0) - k(rho)^2 / (k(0) + s / B) is the one-point bound with the noise
+    s / B, and is computed in ``one_point_bound``'s form from the
+    complement c = k(0) - k(rho), a sum of non-negative terms.  Requires at
+    least one sample in the ball; report k(0) yourself for an empty ball
+    (bound_report does).
     """
     if not kernel.decreasing:
         raise BoundError("isotropic_bound needs an isotropic, decreasing kernel")
@@ -83,8 +86,9 @@ def isotropic_bound(kernel: Kernel, ballcount: int, radius: float,
                          "an empty ball leaves the prior variance k(0)")
     if not radius >= 0 or not noise_variance > 0:
         raise BoundError("need radius >= 0 and noise_variance > 0")
-    k0, kr = kernel.iso([0.0, radius]).tolist()
-    return k0 - kr ** 2 / (k0 + noise_variance / ballcount)
+    k0, s = kernel.signal_variance, noise_variance / ballcount
+    c = kernel.complement(radius)
+    return (c * (2.0 * k0 - c) + k0 * s) / (k0 + s)
 
 
 def one_point_bound(kernel: Kernel, tau: float, noise_variance: float) -> float:

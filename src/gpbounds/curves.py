@@ -45,7 +45,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from .convergence import uniform
 from .gp import FactorizationError, GPPosterior, TrainingSet
-from .kernels import SQUARED_EXPONENTIAL, Kernel
+from .kernels import PERIODIC, SQUARED_EXPONENTIAL, Kernel
 
 # outer and inner node counts of the first rule; both double per level
 _START_NODES = (24, 32)
@@ -133,6 +133,48 @@ def _k2_integral(kernel: Kernel, d, lo: float, hi: float, x, w):
     return (hi - lo) * d * (kernel.iso(t) ** 2 @ w)
 
 
+def _running_min(kernel: Kernel, t):
+    """min of k over [0, tau] at each tau >= 0 of the array t: a lower
+    bound on k(x, x_i) for every sample x_i within tau of x, which the ball
+    bound needs.  A decreasing k is its own running minimum; the periodic k
+    falls to its minimum at p/2 and rises again, so its running minimum is
+    k(min(tau, p/2))."""
+    if kernel.kind == PERIODIC:
+        t = np.minimum(t, 0.5 * kernel.period)
+    return kernel.iso(t)
+
+
+def _running_min_blocks(kernel: Kernel, c: float, alpha: int, beta: int) -> list:
+    """Blocks that turn e_rho's block c E[int_{D/2}^D k^2] into
+    c E[int_{D/2}^D m^2], m the running minimum of k, with D of density
+    proportional to (1 - d)^alpha d^beta: they add c E[G(D)], where
+    G(d) = int_{d/2}^d (k^2 - m^2) is zero but for the periodic kind with
+    d > h = p/2.  G has a jump in its third derivative at d = h and d = 2h,
+    where one Gauss rule over [0, 1] would converge only algebraically, so
+    each piece [h, 2h] and [2h, 1] is a Gauss-Legendre block of its own,
+    with the width density in its integrand and the inner rule over the
+    part of [d/2, d] past h."""
+    if kernel.kind != PERIODIC:
+        return []
+    h = 0.5 * kernel.period
+    floor = _running_min(kernel, h) ** 2    # m^2 at every node, all past h
+    log_norm = (math.lgamma(alpha + beta + 2) - math.lgamma(alpha + 1)
+                - math.lgamma(beta + 1))
+
+    def piece(lo, hi):
+        def g(u, x, w):
+            d = lo + (hi - lo) * u
+            a = np.maximum(0.5 * d, h)
+            t = a[:, None] + np.multiply.outer(d - a, x)
+            excess = (kernel.iso(t) ** 2 - floor) @ w
+            density = np.exp(alpha * np.log1p(-d) + beta * np.log(d) + log_norm)
+            return -c * (hi - lo) * density * (d - a) * excess
+        return g, 0, 0
+
+    return [piece(lo, hi) for lo, hi in ((h, min(2.0 * h, 1.0)), (2.0 * h, 1.0))
+            if lo < hi]
+
+
 def _se_k2(kernel: Kernel, u):
     """F(u) = int_0^u k^2 = s2^2 l (sqrt(pi) / 2) erf(u / l) for the
     squared-exponential kind, at each entry of the 1-D array u.  erf comes
@@ -208,10 +250,11 @@ def e1_bound(kernel: Kernel, noise_variance: float, n: int,
     e1(N) = k(0) + s - 2 E[F(d)]/(k(0)+s) - 2(N-1) E[F(d/2)]/(k(0)+s)
     with F(u) the integral of k^2 over [0, u] and the expectation under the
     spacing density.  The two full-width terms come from the boundary
-    segments, the N-1 half-width pairs from the interior ones.
+    segments, the N-1 half-width pairs from the interior ones.  k(0) is the
+    signal variance, as ``Kernel.iso(0.0)`` gives it bit for bit.
     """
     _check_curve_inputs(kernel, noise_variance, n)
-    a = kernel.iso(0.0) + noise_variance
+    a = kernel.signal_variance + noise_variance
 
     def per_gap(d, x, w):
         return 2.0 / a * (_k2_integral(kernel, d, 0.0, 1.0, x, w)
@@ -233,20 +276,32 @@ def e2_bound(kernel: Kernel, noise_variance: float, n: int,
                      a^2 - k(d)^2
 
     and the boundary segments reuse the single-sample term.  N = 1 has no
-    interior pair and reduces to e1_bound.
+    interior pair and reduces to e1_bound.  k(0) is the signal variance.
+
+    Where the inner rule serves, the bracket is written with the
+    complements c = k(0) - k as s k(t) + k(0) (c(d) - c(t)) + c(d - t) k(d),
+    whose terms are non-negative for a decreasing kind, and the denominator
+    as (s + c(d)) (2 k(0) + s - c(d)): both keep their digits as d -> 0 at
+    small s, where a k(t) and k(d) k(d - t), and a^2 and k(d)^2, agree in
+    all but their last few.
     """
     _check_curve_inputs(kernel, noise_variance, n)
-    a = kernel.iso(0.0) + noise_variance
+    k0, s = kernel.signal_variance, noise_variance
+    a = k0 + s
 
     def per_gap(d, x, w):
         f = _k2_integral(kernel, d, 0.0, 1.0, x, w)
         if kernel.kind == SQUARED_EXPONENTIAL:
-            pair = _se_pair_term(kernel, noise_variance, d, f)
+            pair = _se_pair_term(kernel, s, d, f)
         else:
-            kd = kernel.iso(d)
-            t = np.multiply.outer(d, x)
-            kt, kr = kernel.iso(np.stack([t, d[:, None] - t]))
-            pair = d * ((a * kt - kd[:, None] * kr) * kt @ w) / (a * a - kd * kd)
+            # the Gauss-Legendre nodes x are symmetric about 1/2, so
+            # c(d - t) at the nodes is c(t) at the nodes reversed; k = k0 - c
+            # is exact to k0 eps, the rounding the rule's sum makes anyway
+            cd = kernel.complement(d)
+            ct = kernel.complement(np.multiply.outer(d, x))
+            kt, kd = k0 - ct, k0 - cd
+            num = s * kt + k0 * (cd[:, None] - ct) + ct[:, ::-1] * kd[:, None]
+            pair = d * (num * kt @ w) / ((s + cd) * (2.0 * k0 + s - cd))
         return 2.0 / a * f + 2.0 * (n - 1) * pair
 
     return _curve_bound(a, [(per_gap, n - 1, 0)], quad_tol,
@@ -297,25 +352,31 @@ def e_rho_bound(kernel: Kernel, noise_variance: float, n_total: int, n: int,
     The paper prints the section integrand as
     C(N, n-1) (1-d)^(N-n-1) d^(n-2) int_{d/2}^d k^2; the Beta(n-1, N-n+2)
     width density used here is that printed weight times (n-1)(1-d)^2.
+    The ball bound needs k(rho) to bound k(x, x_i) from below over the
+    ball, so the integrand is the square of the running minimum of k
+    (``_running_min``), which differs from k^2 only for the periodic kind
+    past p/2 (``_running_min_blocks``).  k(0) is the signal variance.
     """
     _check_curve_inputs(kernel, noise_variance, n_total)
     plan = segment_plan(n_total, n)
     if not plan.valid:
         raise CurveError(
             f"no valid section plan for N={n_total}, n={n}; use e1_bound")
-    k0, s = kernel.iso(0.0), noise_variance
+    k0, s = kernel.signal_variance, noise_variance
 
     def block(nn, count, scale):
-        # scale * 2 E[int_{d/2}^d k^2] / (k(0) + s/count), with the width of
-        # nn - 1 consecutive spacings distributed Beta(nn - 1, N - nn + 2)
+        # scale * 2 E[int_{d/2}^d m^2] / (k(0) + s/count), m the running
+        # minimum of k, with the width of nn - 1 consecutive spacings
+        # distributed Beta(nn - 1, N - nn + 2)
         c = scale * 2.0 / (k0 + s / count)
-        return (lambda d, x, w: c * _k2_integral(kernel, d, 0.5, 1.0, x, w),
-                n_total - nn + 1, nn - 2)
+        alpha, beta = n_total - nn + 1, nn - 2
+        return [(lambda d, x, w: c * _k2_integral(kernel, d, 0.5, 1.0, x, w),
+                 alpha, beta)] + _running_min_blocks(kernel, c, alpha, beta)
 
-    # equal boundary counts share one block, which is integrated once
+    # equal boundary counts share their blocks, which are integrated once
     ends = {c: block(c + 1, c, 1.0) for c in (plan.left_count, plan.right_count)}
-    blocks = [block(plan.section_size, plan.section_size, float(plan.inner_sections)),
-              ends[plan.left_count], ends[plan.right_count]]
+    blocks = (block(plan.section_size, plan.section_size, float(plan.inner_sections))
+              + ends[plan.left_count] + ends[plan.right_count])
     return _curve_bound(k0 + s, blocks, quad_tol,
                         (kernel.kind, n_total, "e_rho_bound", n))
 

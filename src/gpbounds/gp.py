@@ -276,24 +276,27 @@ def _pivoted_cholesky(kernel: Kernel, X, s: float):
 
     Each step takes the point of largest residual diagonal as the next
     pivot and adds its residual column, scaled by the pivot's square root.
-    The diagonal is checked before the loop and Phi after it: a column that
-    is not finite leaves a nan or inf in its row, and no check runs per step.
-    X is points or their ``Features``.
+    Every Gram column is formed in one buffer that the loop owns, and the
+    squares of each row in a second.  The diagonal is checked before the
+    loop and Phi after it: a column that is not finite leaves a nan or inf
+    in its row, and no check runs per step.  X is points or their
+    ``Features``.
     """
     n = X.size
     d = _finite_covariance(kernel_diagonal(kernel, X), kernel, n)
     stop = _PIVOT_RTOL * d.max()
     Phi = np.empty((n // _RANK_CAP_DIVISOR, n))
     column = gram_columns(kernel, X)
-    square = np.empty(n)
+    buffer, square = np.empty(n), np.empty(n)
     pivots = []
     for m in range(len(Phi)):
         i = int(d.argmax())
-        if d[i] <= stop:
+        pivot = d[i]
+        if pivot <= stop:
             break
         row = np.dot(Phi[:m, i], Phi[:m], out=Phi[m])
-        np.subtract(column(i), row, out=row)
-        row /= math.sqrt(d[i])
+        np.subtract(column(i, buffer), row, out=row)
+        row /= math.sqrt(pivot)
         d -= np.multiply(row, row, out=square)
         d[i] = 0.0      # exactly, where rounding would leave a few ulps
         pivots.append(i)

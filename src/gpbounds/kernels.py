@@ -11,9 +11,11 @@ interval.  Inputs are scalars: a point is a float, a set of points a 1-D
 array (an (n, 1) column is read as one).
 
 Each kind's values come from one formula: ``Kernel._iso`` for the isotropic
-kinds (and ``Kernel._complement`` for k(0) - k(tau), which the one- and
-two-point bounds read) and, for every Gram entry, the argument of k formed
-from per-point ``_features`` and finished by ``_finish``.  ``kernel_matrix``
+kinds (and ``Kernel._complement`` for k(0) - k(tau), which the pointwise
+bounds read) and, for every Gram entry, the argument of k formed from
+per-point ``_features`` and finished by ``_finish`` in the argument's own
+buffer; ``Kernel._iso`` takes the difference x - z of either sign there,
+so no |x - z| pass and no second array are made.  ``kernel_matrix``
 forms the arguments of a 2-D block as BLAS outer products (``_block``);
 ``kernel_diagonal``, ``gram_columns`` and the Lipschitz grid walk form those
 of a diagonal or one column elementwise (``_gram``).  Each entry is rounded
@@ -124,7 +126,9 @@ class Kernel:
         return self.isotropic and self.kind != PERIODIC
 
     def iso(self, tau):
-        """Evaluate k(tau) for an isotropic kernel; tau >= 0, scalar or array."""
+        """Evaluate k(tau) for an isotropic kernel; tau >= 0, scalar or array.
+        The values are a new array (a float for a scalar); tau is never
+        written."""
         v = self._iso(self._distances(tau))
         return float(v) if v.ndim == 0 else v
 
@@ -143,15 +147,19 @@ class Kernel:
             raise KernelError("tau must be non-negative")
         return t
 
-    def _iso(self, t: np.ndarray) -> np.ndarray:
-        """k(t) for a float array t, unchecked: ``iso`` checks the kind and
-        t >= 0 first, and ``_finish`` passes |x - z|, which is never negative."""
+    def _iso(self, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """k(|t|) for a float array t of any sign, unchecked: ``iso`` checks
+        the kind and t >= 0 first, and ``_finish`` passes x - z.  The
+        Matern-1/2 step takes |t| itself, and the squared-exponential and
+        rational-quadratic steps read t only through a square, so -t gives
+        the bits of t.  The values go into ``out``, which may be t itself,
+        else into a new buffer of t's shape."""
         s2, l = self.signal_variance, self.lengthscale
         # The steps and their order are those of the one-line forms, so they
-        # round the same.  The first writes a buffer of tau's shape (0-d for
-        # a scalar) that every later step changes in place, so a scalar gets
-        # the bits of the array entry.
-        v = np.empty(t.shape)
+        # round the same.  The first writes the buffer (0-d for a scalar)
+        # that every later step changes in place, so a scalar gets the bits
+        # of the array entry.
+        v = np.empty(t.shape) if out is None else out
         if self.kind == RATIONAL_QUADRATIC:
             np.multiply(t, t, out=v)    # s2 (1 + t^2 / (2 a l^2))^-a
             v /= 2.0 * self.alpha * l * l
@@ -163,8 +171,8 @@ class Kernel:
                 v **= 2
                 v *= -0.5
             elif self.kind == MATERN_HALF:
-                np.negative(t, out=v)   # s2 exp(-t / l)
-                v /= l
+                np.abs(t, out=v)        # s2 exp(|t| / -l), the bits of -|t| / l
+                v /= -l
             else:
                 np.multiply(np.pi, t, out=v)  # s2 exp(-2 sin^2(pi t / p) / l^2)
                 v /= self.period
@@ -332,12 +340,13 @@ def _featured(kernel: Kernel, X) -> Features:
     return X
 
 
-def _gram(kernel: Kernel, fx, fz) -> np.ndarray:
+def _gram(kernel: Kernel, fx, fz, out=None) -> np.ndarray:
     """k(x, z) entry for entry from the 1-D features of x and z, which
     broadcast: (n,) against (n,) gives a Gram's diagonal and (n,) against
-    scalars one column.
+    scalars one column.  The values go into ``out`` where it is given,
+    else into a new array.
 
-    isotropic:       k(|x - z|) by the arithmetic of ``Kernel.iso``
+    isotropic:       k(|x - z|) from x - z by the arithmetic of ``Kernel.iso``
     periodic:        s2 exp(-2 sin^2(b_x - b_z) / l^2), with
                      sin(b_x - b_z) = sin b_x cos b_z - cos b_x sin b_z; the
                      two products are the same pair with x and z swapped,
@@ -351,16 +360,16 @@ def _gram(kernel: Kernel, fx, fz) -> np.ndarray:
                      bit for bit
     """
     if kernel.kind == POLYNOMIAL:
-        s = fx[0] * fz[0]
+        s = np.multiply(fx[0], fz[0], out=out)
     elif kernel.kind == PERIODIC:
         (sin_x, cos_x), (sin_z, cos_z) = fx, fz
-        s = sin_x * cos_z
+        s = np.multiply(sin_x, cos_z, out=out)
         s -= cos_x * sin_z
     elif kernel.isotropic:
-        s = np.subtract(fx[0], fz[0])
+        s = np.subtract(fx[0], fz[0], out=out)
     else:
         (p_x, q_x), (p_z, q_z) = fx, fz
-        s = p_x * p_z
+        s = np.multiply(p_x, p_z, out=out)
         s += q_x * q_z
     return _finish(kernel, s)
 
@@ -380,8 +389,8 @@ def _block(kernel: Kernel, X: Features, Z: Features) -> np.ndarray:
 
 def _finish(kernel: Kernel, s: np.ndarray) -> np.ndarray:
     """k from the argument s that ``_gram`` or ``_block`` formed, in s's
-    buffer except for the isotropic kinds, whose ``Kernel._iso`` writes a
-    new one."""
+    buffer for every kind: the isotropic kinds' difference x - z goes to
+    ``Kernel._iso`` as it is, sign and all, to be evaluated in place."""
     if kernel.kind == POLYNOMIAL:
         s += kernel.offset
         s **= kernel.degree
@@ -396,7 +405,7 @@ def _finish(kernel: Kernel, s: np.ndarray) -> np.ndarray:
         s *= kernel.signal_variance
         return s
     if kernel.isotropic:
-        return kernel._iso(np.abs(s, out=s))
+        return kernel._iso(s, out=s)
     # rounding can push u a hair past 1 for coincident points
     np.minimum(s, 1.0, out=s)
     np.maximum(s, -1.0, out=s)
@@ -427,11 +436,13 @@ def kernel_diagonal(kernel: Kernel, X) -> np.ndarray:
 
 
 def gram_columns(kernel: Kernel, X):
-    """A function j -> k(X, X[j]), shape (n,), equal bit for bit to
-    ``kernel_matrix(kernel, X)[:, j]``; X may be points or their
-    ``Features``, which are computed once, not once per column."""
+    """A function (j, out=None) -> k(X, X[j]), shape (n,), equal bit for bit
+    to ``kernel_matrix(kernel, X)[:, j]``; X may be points or their
+    ``Features``, which are computed once, not once per column.  Each
+    column is a new array, or is written into ``out`` where one is given,
+    so that a caller walking many columns reuses one buffer."""
     f = _featured(kernel, X).flat
-    return lambda j: _gram(kernel, f, [v[j] for v in f])
+    return lambda j, out=None: _gram(kernel, f, [v[j] for v in f], out)
 
 
 def squared_exponential(lengthscale: float = 1.0, signal_variance: float = 1.0) -> Kernel:

@@ -83,15 +83,12 @@ def test_isotropic_bound_frozen_value():
 
 
 def test_isotropic_bound_single_sample_equals_one_point():
-    """The same variance by two arithmetics: k(0) - k(rho)^2 / (k(0) + s),
-    whose subtraction rounds to a few eps of k(0) = 1, and the one-point
-    bound's sum of non-negative terms."""
+    """With one sample in the ball the isotropic bound is the one-point
+    bound, by the same sum of non-negative terms, so bit for bit."""
     for factory in ISO_DECREASING:
         k = factory()
         for tau in (0.0, 0.2, 1.3):
-            assert math.isclose(isotropic_bound(k, 1, tau, 0.1),
-                                one_point_bound(k, tau, 0.1), rel_tol=0.0,
-                                abs_tol=4 * np.finfo(float).eps)
+            assert isotropic_bound(k, 1, tau, 0.1) == one_point_bound(k, tau, 0.1)
 
 
 def test_isotropic_bound_perfect_information_limit():
@@ -185,10 +182,9 @@ def test_two_points_never_worse_than_the_nearest_alone():
 @pytest.mark.parametrize("factory", [squared_exponential, matern_half,
                                      rational_quadratic, periodic])
 def test_each_pointwise_bound_reads_k_from_one_iso_call(factory, monkeypatch):
-    """isotropic_bound takes k(0) and k(rho) from one k.iso call, and
-    one_point_bound and two_point_bound take their distances' complements
-    k(0) - k(tau) from one k.complement call, so each formula sees the
-    entries of one array."""
+    """isotropic_bound, one_point_bound and two_point_bound each take their
+    distances' complements k(0) - k(tau) from one k.complement call, so
+    each formula sees the entries of one array."""
     kernel = factory(0.4, 1.3)
     calls = []
 
@@ -201,7 +197,7 @@ def test_each_pointwise_bound_reads_k_from_one_iso_call(factory, monkeypatch):
     iso, complement = Kernel.iso, Kernel.complement
     monkeypatch.setattr(Kernel, "iso", spy(iso))
     monkeypatch.setattr(Kernel, "complement", spy(complement))
-    k0, a = iso(kernel, [0.0, 0.31])
+    k0 = iso(kernel, 0.0)
     c1, c2, e = complement(kernel, [0.31, 0.47, 0.16])
     s, v1 = 0.1, (c1 * (2.0 * k0 - c1) + k0 * 0.1) / (k0 + 0.1)
     t = (k0 * (e + c1 - c2) - e * c1 + s * (k0 - c2)) / (k0 + s)
@@ -211,8 +207,9 @@ def test_each_pointwise_bound_reads_k_from_one_iso_call(factory, monkeypatch):
          v1 - t * t / ((e + s) * (2.0 * k0 + s - e) / (k0 + s))),
     ]
     if kernel.decreasing:
+        s3 = 0.1 / 3
         cases.append((lambda: isotropic_bound(kernel, 3, 0.31, 0.1),
-                      k0 - a ** 2 / (k0 + 0.1 / 3)))
+                      (c1 * (2.0 * k0 - c1) + k0 * s3) / (k0 + s3)))
     for bound, want in cases:
         calls.clear()
         assert bound() == want and len(calls) == 1
@@ -277,6 +274,31 @@ def test_one_and_two_point_bounds_keep_their_digits(case):
         two = k0 - (a * (k1 * k1 + k2 * k2) - 2 * b * k1 * k2) / (a * a - b * b)
     assert abs(one_point_bound(kernel, t1, noise) - one) <= 1e-10 * one
     assert abs(two_point_bound(kernel, t1, t2, delta, noise) - two) <= 1e-10 * two
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(("squared-exponential", "matern-1/2", "rational-quadratic")),
+       lengthscale=st.floats(1.0, 100.0), signal_variance=st.floats(1.0, 50.0),
+       alpha=st.floats(0.1, 10.0), log_noise=st.floats(-7.0, -2.0),
+       log_radius=st.floats(-3.0, 0.0), ballcount=st.integers(1, 1000))
+# draws on which k(0) - k(rho)^2 / (k(0) + s / B) was off by 5.5e-7
+# (squared-exponential) and 3.1e-6 (rational-quadratic) relative
+@example(kind="squared-exponential", lengthscale=98.82, signal_variance=33.17, alpha=1.0,
+         log_noise=math.log10(3.1e-06), log_radius=math.log10(0.0014), ballcount=626)
+@example(kind="rational-quadratic", lengthscale=98.38, signal_variance=17.04, alpha=8.46,
+         log_noise=math.log10(3.3e-07), log_radius=math.log10(0.0018), ballcount=422)
+def test_isotropic_bound_keeps_its_digits(kind, lengthscale, signal_variance, alpha,
+                                          log_noise, log_radius, ballcount):
+    """The isotropic bound lies within 1e-10 relative of
+    k(0) - k(rho)^2 / (k(0) + s / B) at 60 digits, with close samples,
+    tiny noise and large s2, where that subtraction cancels."""
+    params = {"alpha": alpha} if kind == "rational-quadratic" else {}
+    kernel = Kernel(kind, lengthscale=lengthscale, signal_variance=signal_variance, **params)
+    noise, radius = 10.0 ** log_noise, 10.0 ** log_radius
+    with mpmath.workdps(60):
+        k0, kr = (_reference_kernel(kernel, t) for t in (0.0, radius))
+        want = k0 - kr * kr / (k0 + mpmath.mpf(noise) / ballcount)
+    assert abs(isotropic_bound(kernel, ballcount, radius, noise) - want) <= 1e-10 * want
 
 
 SE = squared_exponential()

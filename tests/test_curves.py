@@ -3,11 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from gpbounds import curves
-from gpbounds.curves import (CurveError, QuadratureError, _k2_integral,
+from gpbounds.curves import (CurveError, QuadratureError, _k2_integral, _running_min,
                              e1_bound, e2_bound, e_rho_bound, greedy_select_n,
                              monte_carlo_curve, segment_plan)
 from gpbounds.gp import GPPosterior, TrainingSet
@@ -73,6 +73,74 @@ def test_e2_inner_term_equals_the_exact_two_sample_reduction():
 def test_e2_never_above_e1():
     for n in (2, 5, 10, 100, 1000):
         assert e2_bound(SE, NOISE, n) <= e1_bound(SE, NOISE, n) + 1e-9
+
+
+@st.composite
+def small_noise_cases(draw):
+    """A Matern-1/2, rational-quadratic or periodic kernel with l from 1 to
+    100, noise from 1e-7 to 1e-4 and N up to 2000: e2's pair integrand is
+    then a small difference of values near k(0)^2 over the narrow gaps."""
+    kind = draw(st.sampled_from(("matern-1/2", "rational-quadratic", "periodic")))
+    params = {"lengthscale": 10.0 ** draw(st.floats(0.0, 2.0)),
+              "signal_variance": 10.0 ** draw(st.floats(-2.0, 2.0))}
+    if kind == "rational-quadratic":
+        params["alpha"] = 10.0 ** draw(st.floats(-1.0, 1.0))
+    if kind == "periodic":
+        params["period"] = 10.0 ** draw(st.floats(0.0, 1.3))
+    noise = 10.0 ** draw(st.floats(-7.0, -4.0))
+    return Kernel(kind, **params), noise, draw(st.integers(1, 2000))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=small_noise_cases())
+# configs on which the a k(t) - k(d) k(d - t) numerator over a^2 - k(d)^2
+# missed quad_tol (achieved 2.2e-9 to 2.2e-8)
+@example(case=(Kernel("rational-quadratic", lengthscale=42.19415626570863,
+                      signal_variance=94.23359777359502, alpha=0.5181802523113859),
+               7.699686778351118e-06, 55))
+@example(case=(Kernel("rational-quadratic", lengthscale=13.861581121760654,
+                      signal_variance=47.67666269449449, alpha=0.19287576654562782),
+               1.3181942241269052e-06, 121))
+@example(case=(Kernel("periodic", lengthscale=31.045593485248208,
+                      signal_variance=95.2545481880851, period=1.6509197908642745),
+               1.1600148654378368e-06, 530))
+@example(case=(Kernel("periodic", lengthscale=44.70763098646296,
+                      signal_variance=85.78316020751143, period=1.6467917162436163),
+               2.3471524135656353e-06, 852))
+def test_e2_pair_term_keeps_its_digits_at_small_noise(case):
+    """e2's pair integrand, written with the complements c = k(0) - k,
+    reaches quad_tol at small noise and stays below e1."""
+    kernel, noise, n = case
+    assert e2_bound(kernel, noise, n) <= e1_bound(kernel, noise, n) + 1e-9
+
+
+@pytest.mark.parametrize("kind", ISOTROPIC_KINDS)
+def test_curve_bounds_take_k0_from_the_signal_variance(kind, monkeypatch):
+    """e1, e2 and e_rho read k(0) as the signal variance, which k.iso(0.0)
+    equals bit for bit, so none of them asks iso for k(0), and the
+    squared-exponential kind, whose inner integrals are closed forms, makes
+    no iso call at all."""
+    rng = np.random.default_rng(23)
+    kernels = [Kernel(kind, **{name: float(rng.uniform(0.05, 20.0))
+                               for name in KERNEL_PARAMS[kind]}) for _ in range(50)]
+    assert all(k.iso(0.0) == k.signal_variance for k in kernels)
+    calls = []
+    iso = Kernel.iso
+
+    def spy(self, tau):
+        calls.append(np.ndim(tau) == 0 and tau == 0.0)
+        return iso(self, tau)
+
+    monkeypatch.setattr(Kernel, "iso", spy)
+    kernel = Kernel(kind, lengthscale=0.3)
+    for n in (1, 10, 300):
+        e1_bound(kernel, NOISE, n)
+        e2_bound(kernel, NOISE, n)
+    e_rho_bound(kernel, NOISE, 300, 4)
+    if kind == "squared-exponential":
+        assert calls == []
+    else:
+        assert calls and not any(calls)
 
 
 def test_curve_bounds_reject_bad_inputs():
@@ -143,6 +211,33 @@ def test_e_rho_integrates_equal_boundary_blocks_once(monkeypatch):
         sizes.clear()
         e_rho_bound(SE, NOISE, 20, n)
         assert sizes.count(curves._START_NODES[0]) == blocks
+
+
+@pytest.mark.parametrize("kernel", [
+    Kernel(kind, lengthscale=0.3, **({"period": p} if kind == "periodic" else {}))
+    for kind in ISOTROPIC_KINDS for p in ((0.2, 0.7, 3.0) if kind == "periodic" else (1,))
+], ids=lambda k: f"{k.kind}-p{k.period}")
+def test_e_rho_integrand_never_exceeds_the_squared_running_minimum(kernel):
+    """The ball bound needs a lower bound on k over [0, tau]: the running
+    minimum e_rho integrates lies at or below the smallest k on a fine grid
+    of [0, tau], and equals k wherever k has not yet risen again."""
+    t = np.linspace(0.0, 4.0, 40001)
+    k = kernel.iso(t)
+    m = _running_min(kernel, t)
+    assert np.all(m ** 2 <= np.minimum.accumulate(k) ** 2)
+    falling = t <= (kernel.period / 2 if kernel.kind == "periodic" else np.inf)
+    assert np.array_equal(m[falling], k[falling])
+
+
+@pytest.mark.parametrize("period, lengthscale, want", [(0.2, 4.0, 0.1939), (0.3, 3.0, 0.2779)])
+def test_short_period_e_rho_rises_to_the_running_minimum(period, lengthscale, want):
+    """Past p/2 the periodic k rises again, so k(rho) is no lower bound over
+    the ball.  With the running minimum the best e_rho at N = 10 rises to
+    about 0.194 and 0.278, where k itself gave 0.114 and 0.191."""
+    kernel = periodic(lengthscale, period=period)
+    best = min(e_rho_bound(kernel, 1e-3, 10, n) for n in range(2, 11)
+               if segment_plan(10, n).valid)
+    assert abs(best - want) < 1e-4
 
 
 def test_e_rho_stays_above_noise_floor():

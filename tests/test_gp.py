@@ -450,9 +450,9 @@ def test_pivot_loop_rejects_a_non_finite_column(monkeypatch):
         def spoiled_columns(kernel, X):
             column, calls = gram_columns(kernel, X), []
 
-            def spoiled(j):
+            def spoiled(j, out=None):
                 calls.append(j)
-                c = column(j)
+                c = column(j, out)
                 if len(calls) == step + 1:
                     c[7] = bad
                 return c
@@ -464,6 +464,51 @@ def test_pivot_loop_rejects_a_non_finite_column(monkeypatch):
             with np.errstate(invalid="ignore"):
                 with pytest.raises(FactorizationError, match="covariance matrix must be finite"):
                     GPPosterior(TrainingSet(X, 0.1), squared_exponential(0.3))
+
+
+def _reference_pivots(kernel, X, cap):
+    """The greedy pivoted Cholesky step for step as ``gp._pivoted_cholesky``
+    takes it, with each column a fresh kernel_matrix(kernel, X, X[i])."""
+    d = kernel_diagonal(kernel, X)
+    stop = gp._PIVOT_RTOL * d.max()
+    Phi, pivots = np.empty((cap, X.size)), []
+    for m in range(cap):
+        i = int(d.argmax())
+        if d[i] <= stop:
+            break
+        row = np.dot(Phi[:m, i], Phi[:m], out=Phi[m])
+        row[:] = (kernel_matrix(kernel, X, X[i])[:, 0] - row) / math.sqrt(d[i])
+        d -= row * row
+        d[i] = 0.0
+        pivots.append(i)
+    return np.array(pivots, dtype=np.intp), Phi[:len(pivots)]
+
+
+@pytest.mark.parametrize("n", (128, 300, 1220))
+@pytest.mark.parametrize("kind", KINDS)
+def test_pivot_factor_equals_the_kernel_matrix_column_loop(kind, n, monkeypatch):
+    """The pivot loop, which builds every column in one buffer of its own,
+    gives the pivots and factor of a loop that takes each column fresh from
+    kernel_matrix, bit for bit (the factor is kept whatever its residual)."""
+    monkeypatch.setattr(gp, "_RESIDUAL_NOISE_RTOL", math.inf)
+    buffers = set()
+
+    def spy_columns(kernel, X):
+        column = gram_columns(kernel, X)
+
+        def spy(j, out=None):
+            buffers.add(id(out))
+            return column(j, out)
+        return spy
+
+    monkeypatch.setattr(gp, "gram_columns", spy_columns)
+    kernel = Kernel(kind)
+    X = np.random.default_rng(n).uniform(0.5, 1.5, n)
+    pivots, Phi = gp._pivoted_cholesky(kernel, X, 0.1)
+    want_pivots, want_Phi = _reference_pivots(kernel, X, n // gp._RANK_CAP_DIVISOR)
+    assert np.array_equal(pivots, want_pivots)
+    assert Phi.tobytes() == want_Phi.tobytes()
+    assert len(buffers) == 1 and id(None) not in buffers
 
 
 def test_grams_and_posteriors_do_not_call_iso(monkeypatch):
@@ -584,8 +629,8 @@ def test_periodic_above_the_rank_cap_takes_the_dense_route(monkeypatch):
     def spy_columns(kernel, A):
         column = gram_columns(kernel, A)
 
-        def spy(j):
-            out = column(j)
+        def spy(j, out=None):
+            out = column(j, out)
             shapes.append((out.size, 1))
             return out
         return spy

@@ -149,6 +149,25 @@ def test_scalar_iso_is_the_array_entry(kernel):
     assert scalars.tobytes() == kernel.iso(ts).tobytes()
 
 
+@pytest.mark.parametrize("kernel", [
+    squared_exponential(0.3, 1.7), matern_half(0.4, 1.3), rational_quadratic(),
+    rational_quadratic(0.4, 1.3, alpha=2.5),
+], ids=["se", "matern", "rq", "rq-alpha-2.5"])
+def test_unchecked_iso_is_even_and_fills_the_buffer_it_is_given(kernel):
+    """The Grams pass x - z of either sign to Kernel._iso, so for the
+    difference kinds k(-t) has the bits of k(t); given a buffer, which may
+    be t itself, _iso writes its values there and returns it."""
+    rng = np.random.default_rng(22)
+    t = np.concatenate([rng.uniform(0.0, 5.0, 2000), rng.exponential(1.0, 2000),
+                        [0.0, 1e-300, 5e-324, 1e150, np.inf]])
+    want = kernel._iso(t).tobytes()
+    assert kernel._iso(-t).tobytes() == want
+    out = np.empty_like(t)
+    assert kernel._iso(t, out=out) is out and out.tobytes() == want
+    flipped = -t
+    assert kernel._iso(flipped, out=flipped) is flipped and flipped.tobytes() == want
+
+
 def test_iso_rejects_negative_tau_and_wrong_kind():
     with pytest.raises(KernelError):
         squared_exponential().iso(-0.1)
@@ -312,12 +331,17 @@ def drawn_kernels(draw):
        X=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))
 def test_columns_equal_the_gram_columns_for_drawn_kernels(k, X):
     """For any kind and parameters, column j of gram_columns equals column
-    j of the full Gram bit for bit."""
+    j of the full Gram bit for bit, as a new array or written into the
+    buffer it is given."""
     X = np.array(X)
     K = kernel_matrix(k, X)
     column = gram_columns(k, X)
+    buffer = np.empty(X.size)
     for j in range(X.size):
-        assert np.array_equal(column(j), K[:, j]), j
+        fresh = column(j)
+        assert np.array_equal(fresh, K[:, j]), j
+        assert column(j, buffer) is buffer and np.array_equal(buffer, K[:, j]), j
+        assert not np.shares_memory(fresh, column(j)), j
 
 
 def _broadcast_gram(kernel, X, Z):

@@ -36,6 +36,18 @@ def _sq(kernel, lo, hi):
                 epsrel=1e-13, limit=200)[0]
 
 
+def _sq_running_min(kernel, lo, hi):
+    """The integral of the squared running minimum of k over [lo, hi]:
+    k(min(t, p/2))^2 for the periodic kind, with its kink at p/2 passed to
+    quad, and k^2 for the decreasing kinds."""
+    if kernel.kind != "periodic":
+        return _sq(kernel, lo, hi)
+    half = kernel.period / 2.0
+    return quad(lambda t: kernel.iso(min(t, half)) ** 2, lo, hi, epsabs=1e-14,
+                epsrel=1e-13, limit=200,
+                points=[half] if lo < half < hi else None)[0]
+
+
 def _outer(fn, hi, points=None):
     return quad(fn, 0.0, hi, epsabs=1e-13, epsrel=1e-13, limit=200,
                 points=points)[0]
@@ -87,7 +99,7 @@ def oracle_e_rho(kernel, n_total, size):
                              (plan.left_count + 1, plan.left_count, 1),
                              (plan.right_count + 1, plan.right_count, 1)):
         mean = _beta_mean(nn - 1, n_total - nn + 2,
-                          lambda d: _sq(kernel, d / 2.0, d))
+                          lambda d: _sq_running_min(kernel, d / 2.0, d))
         out -= scale * 2.0 * mean / (k0 + NOISE / count)
     return out
 
@@ -101,6 +113,17 @@ def test_rules_match_nested_adaptive_quadrature(kernel, n):
         if segment_plan(n, size).valid:
             assert (abs(e_rho_bound(kernel, NOISE, n, size)
                         - oracle_e_rho(kernel, n, size)) <= 1e-10)
+
+
+@pytest.mark.parametrize("period, lengthscale", [(0.2, 4.0), (0.3, 3.0), (0.25, 0.5), (0.7, 0.3)])
+def test_periodic_e_rho_matches_the_oracle_past_half_a_period(period, lengthscale):
+    """With p/2 inside the unit interval the running minimum's kinks fall
+    inside the width's range; e_rho still agrees with nested adaptive
+    quadrature of k(min(t, p/2))^2."""
+    kernel = periodic(lengthscale=lengthscale, period=period)
+    for n, size in ((7, 2), (10, 2), (10, 3), (30, 4)):
+        assert abs(e_rho_bound(kernel, NOISE, n, size)
+                   - oracle_e_rho(kernel, n, size)) <= 1e-10
 
 
 # --------------------------------------- squared-exponential closed forms
