@@ -107,6 +107,9 @@ def small_noise_cases(draw):
 @example(case=(Kernel("periodic", lengthscale=44.70763098646296,
                       signal_variance=85.78316020751143, period=1.6467917162436163),
                2.3471524135656353e-06, 852))
+@example(case=(Kernel("periodic", lengthscale=34.60927867998966,
+                      signal_variance=67.48708071509671, period=14.34894379733895),
+               6.3010032783276354e-06, 771))
 def test_e2_pair_term_keeps_its_digits_at_small_noise(case):
     """e2's pair integrand, written with the complements c = k(0) - k,
     reaches quad_tol at small noise and stays below e1."""
