@@ -92,10 +92,7 @@ class TrainingSet:
     def __post_init__(self):
         X = as_points(self.inputs)
         object.__setattr__(self, "inputs", X)
-        # a finite sum of squares proves every entry finite, and costs less
-        # than the scan; np.vdot, unlike X.sum(), raises no floating-point
-        # warning where the sum overflows or adds inf to -inf
-        if not math.isfinite(np.vdot(X, X)) and not np.isfinite(X).all():
+        if not _all_finite(X):
             raise ValueError("training inputs must be finite")
         if not (self.noise_variance > 0 and math.isfinite(self.noise_variance)):
             raise ValueError("noise_variance must be positive and finite")
@@ -103,7 +100,7 @@ class TrainingSet:
             y = np.asarray(self.outputs, dtype=float).reshape(-1)
             if y.shape[0] != X.shape[0]:
                 raise ValueError("outputs length must match the number of inputs")
-            if not np.isfinite(y).all():
+            if not _all_finite(y):
                 raise ValueError("training outputs must be finite")
             object.__setattr__(self, "outputs", y)
 
@@ -189,7 +186,7 @@ def _route(kernel: Kernel, X: Features, s: float):
     # Phi[:, i] = g(X_i) for the features g(x) = U_p'^{-1} k(X_p, x).
     X_p, U_p = X[pivots], Phi[:, pivots]
     M = Phi @ Phi.T
-    M.flat[::pivots.size + 1] += s
+    M.ravel(order="K")[::pivots.size + 1] += s
     R = _cholesky(M, kernel, n)
 
     def low_rank(Xp):
@@ -224,13 +221,24 @@ def _dense_factor(kernel: Kernel, X: Features, s: float) -> np.ndarray:
         for j in range(0, n, _GRAM_BLOCK):
             A[j:, j:j + _GRAM_BLOCK] = _finite_covariance(kernel_matrix(
                 kernel, X[j:j + _GRAM_BLOCK], X[j:]), kernel, n).T
-    A.flat[::n + 1] += s
+    # A += s I through a strided view of the buffer in memory order, which
+    # costs less to make than numpy's flat iterator (A.flat)
+    A.ravel(order="K")[::n + 1] += s
     return _cholesky(A, kernel, n)
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the C-contiguous array a is finite.  A finite
+    sum of squares proves it, and costs one BLAS reduction, less than the
+    scan, which runs only where the sum is not finite; np.vdot, unlike
+    a.sum(), raises no floating-point warning where the sum overflows or
+    adds inf to -inf."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
 
 
 def _finite_covariance(block: np.ndarray, kernel: Kernel, n: int) -> np.ndarray:
     """block, unless a value is not finite: then FactorizationError."""
-    if not np.isfinite(block).all():
+    if not _all_finite(block):
         raise FactorizationError(kernel.kind, n, "covariance matrix must be finite")
     return block
 
@@ -242,7 +250,7 @@ def _query_block(kernel: Kernel, Xp, X: Features) -> np.ndarray:
     and ``mean`` both read their covariances here, so both raise ValueError
     for a query whose covariances are not finite."""
     K = kernel_matrix(kernel, X, Xp)
-    if not np.isfinite(K).all():
+    if not _all_finite(K):
         raise ValueError("query covariances must be finite")
     return K.T
 

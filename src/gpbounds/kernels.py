@@ -15,13 +15,17 @@ kinds (and ``Kernel._complement`` for k(0) - k(tau), which the pointwise
 bounds read) and, for every Gram entry, the argument of k formed from
 per-point ``_features`` and finished by ``_finish`` in the argument's own
 buffer; ``Kernel._iso`` takes the difference x - z of either sign there,
-so no |x - z| pass and no second array are made.  ``kernel_matrix``
-forms the arguments of a 2-D block as BLAS outer products (``_block``);
-``kernel_diagonal``, ``gram_columns`` and the Lipschitz grid walk form those
-of a diagonal or one column elementwise (``_gram``).  Each entry is rounded
-once either way, so both give the same bits.  ``featurize`` computes a
-point set's features once, and those three functions take its ``Features``
-in place of the points.
+so no |x - z| pass and no second array are made.  Each step is one
+rounded operation of the kind's one-line form below, or an exact rewrite
+of one: the periodic -2 u / l^2 is u / (-0.5 l^2), the same quotient for
+every l >= 2.2e-154, where -0.5 l^2 is exact, and the last factor s2 is
+skipped where it is 1, the default of every factory, since x * 1 is x.
+``kernel_matrix`` forms the arguments of a 2-D block as BLAS outer
+products (``_block``); ``kernel_diagonal``, ``gram_columns`` and the
+Lipschitz grid walk form those of a diagonal or one column elementwise
+(``_gram``).  Each entry is rounded once either way, so both give the same
+bits.  ``featurize`` computes a point set's features once, and those three
+functions take its ``Features`` in place of the points.
 
 Functional forms (``s2`` is the signal variance, ``l`` the lengthscale):
 
@@ -153,10 +157,13 @@ class Kernel:
         Matern-1/2 step takes |t| itself, and the squared-exponential and
         rational-quadratic steps read t only through a square, so -t gives
         the bits of t.  The values go into ``out``, which may be t itself,
-        else into a new buffer of t's shape."""
+        else into a new buffer of t's shape.  The periodic step divides
+        sin^2 by -0.5 l^2, which has the bits of multiplying it by -2 and
+        dividing by l^2 for every l >= 2.2e-154, and s2 = 1 multiplies
+        nothing."""
         s2, l = self.signal_variance, self.lengthscale
-        # The steps and their order are those of the one-line forms, so they
-        # round the same.  The first writes the buffer (0-d for a scalar)
+        # The steps and their order are those of the one-line forms, or
+        # exact rewrites of them, so they round the same.  The first writes the buffer (0-d for a scalar)
         # that every later step changes in place, so a scalar gets the bits
         # of the array entry.
         v = np.empty(t.shape) if out is None else out
@@ -178,10 +185,10 @@ class Kernel:
                 v /= self.period
                 np.sin(v, out=v)
                 v **= 2
-                v *= -2.0
-                v /= l * l
+                v /= -0.5 * (l * l)
             np.exp(v, out=v)
-        v *= s2
+        if s2 != 1.0:
+            v *= s2
         return v
 
     def _complement(self, t: np.ndarray) -> np.ndarray:
@@ -243,18 +250,29 @@ def _features(kernel: Kernel, V: np.ndarray) -> tuple:
     cos b with b = pi fmod(x, p) / p.  The reduction by fmod(x, p) is exact
     and leaves sin^2 unchanged, so the periodic features keep full accuracy
     for inputs far from 0."""
+    # formed in place, by the operations of the one-line forms in their
+    # order: pi fmod(x, p) / p and 1 + 2 (sb + sw x^2), then
+    # sqrt(2 sw) x r in a's buffer and sqrt(2 sb) r in r's
     if kernel.kind == PERIODIC:
         p = kernel.period
-        b = np.pi * np.fmod(V, p) / p
+        b = np.fmod(V, p)
+        b *= np.pi
+        b /= p
         return np.sin(b), np.cos(b)
     if kernel.kind == NEURAL_NETWORK:
-        a = 1.0 + 2.0 * (kernel.bias_variance + kernel.weight_variance * (V * V))
+        a = np.multiply(V, V)
+        a *= kernel.weight_variance
+        a += kernel.bias_variance
+        a *= 2.0
+        a += 1.0
         # sqrt(a) / a, not 1 / sqrt(a): where a overflows this is inf / inf,
         # a nan the finite checks catch, where 1 / sqrt(a) would be a 0
         r = np.sqrt(a)
         r /= a
-        return (math.sqrt(2.0 * kernel.bias_variance) * r,
-                math.sqrt(2.0 * kernel.weight_variance) * V * r)
+        q = np.multiply(math.sqrt(2.0 * kernel.weight_variance), V, out=a)
+        q *= r
+        r *= math.sqrt(2.0 * kernel.bias_variance)
+        return r, q
     return (V,)
 
 
@@ -390,19 +408,26 @@ def _block(kernel: Kernel, X: Features, Z: Features) -> np.ndarray:
 def _finish(kernel: Kernel, s: np.ndarray) -> np.ndarray:
     """k from the argument s that ``_gram`` or ``_block`` formed, in s's
     buffer for every kind: the isotropic kinds' difference x - z goes to
-    ``Kernel._iso`` as it is, sign and all, to be evaluated in place."""
+    ``Kernel._iso`` as it is, sign and all, to be evaluated in place.  As
+    there, the periodic s^2 is divided by -0.5 l^2, the bits of
+    -2 s^2 / l^2 for every l >= 2.2e-154, where -0.5 l^2 is exact (below
+    it the two differ only where s^2 is itself near the subnormal range,
+    else both give exp(-huge) = 0, and 0 / 0 a nan), and the periodic and
+    polynomial values are scaled by s2 only where s2 != 1."""
+    s2 = kernel.signal_variance
     if kernel.kind == POLYNOMIAL:
         s += kernel.offset
         s **= kernel.degree
-        s *= kernel.signal_variance
+        if s2 != 1.0:
+            s *= s2
         return s
     if kernel.kind == PERIODIC:
         l = kernel.lengthscale
         s *= s
-        s *= -2.0
-        s /= l * l
+        s /= -0.5 * (l * l)
         np.exp(s, out=s)
-        s *= kernel.signal_variance
+        if s2 != 1.0:
+            s *= s2
         return s
     if kernel.isotropic:
         return kernel._iso(s, out=s)
@@ -410,7 +435,7 @@ def _finish(kernel: Kernel, s: np.ndarray) -> np.ndarray:
     np.minimum(s, 1.0, out=s)
     np.maximum(s, -1.0, out=s)
     np.arcsin(s, out=s)
-    s *= kernel.signal_variance * (2.0 / np.pi)
+    s *= s2 * (2.0 / np.pi)
     return s
 
 
@@ -505,7 +530,9 @@ def _grid_lipschitz(kernel: Kernel, lo: float, hi: float) -> float:
     by a 1.05 safety factor: down the one column k(tau) over [0, hi - lo]
     for isotropic kinds, down each of the 201 columns k(., z) of the
     interval otherwise.  The columns are walked one at a time, built by
-    ``_gram`` from features of the 10^4 grid points computed once."""
+    ``_gram`` from features of the 10^4 grid points computed once, each in
+    one reused buffer, and their differences, np.diff's subtraction, in a
+    second."""
     if kernel.isotropic:
         grid = np.linspace(0.0, hi - lo, GRID_POINTS)
         columns = [kernel.iso(grid)]
@@ -513,10 +540,12 @@ def _grid_lipschitz(kernel: Kernel, lo: float, hi: float) -> float:
         grid = np.linspace(lo, hi, GRID_POINTS)
         fx = _features(kernel, grid)
         fz = _features(kernel, np.linspace(lo, hi, 201))
-        columns = (_gram(kernel, fx, z) for z in zip(*fz))
+        buffer = np.empty(GRID_POINTS)
+        columns = (_gram(kernel, fx, z, buffer) for z in zip(*fz))
     steepest = 0.0
+    d = np.empty(GRID_POINTS - 1)
     for column in columns:
-        d = np.diff(column)
+        np.subtract(column[1:], column[:-1], out=d)
         # np.maximum, unlike max(), carries a nan through
         steepest = np.maximum(steepest, np.abs(d, out=d).max())
     return float(steepest / (grid[1] - grid[0]) * SAFETY_FACTOR)

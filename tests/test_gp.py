@@ -145,6 +145,30 @@ def test_training_set_validation():
         TrainingSet([1.0, 2.0], 0.1, [1.0])
 
 
+def test_finite_checks_accept_entries_whose_sum_of_squares_overflows():
+    """Every finite check sums squares first and scans only where that sum
+    is not finite, so all-finite values whose squares overflow pass each
+    call site with no floating-point warning: training inputs and outputs
+    near 1e160, and polynomial covariances near 1e300 in a Gram block, a
+    kernel diagonal, a query block and the pivot loop's diagonal."""
+    X = np.array([1e160, -1.5e160, 2e160])
+    train = TrainingSet(X, 0.1, X)
+    assert np.array_equal(train.inputs, X) and np.array_equal(train.outputs, X)
+    k = polynomial()
+    X = np.array([1e50, -2e50, 1.5e50])
+    for block in (kernel_matrix(k, X), kernel_diagonal(k, X)):
+        assert not math.isfinite(np.vdot(block, block))
+        assert gp._finite_covariance(block, k, X.size) is block
+    assert np.array_equal(gp._query_block(k, X, kernels.featurize(k, X[:1])),
+                          kernel_matrix(k, X[:1], X).T)
+    post = GPPosterior(TrainingSet(X[:1], 0.1), k)
+    assert post.route == "dense" and np.isfinite(post.variance_batch(X)).all()
+    # the pivot loop's checked diagonal overflows too; its residual then
+    # sends the posterior to the dense route
+    big = np.random.default_rng(44).uniform(0.5e51, 1e51, gp._LOWRANK_MIN_N)
+    assert gp._pivoted_cholesky(k, big, 0.1) is None
+
+
 def test_factorization_failure_is_reported():
     # two coincident points with essentially no noise make A_N singular
     train = TrainingSet([1.0, 1.0], 1e-300)

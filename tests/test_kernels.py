@@ -119,7 +119,13 @@ def test_iso_in_place_equals_the_one_line_forms():
     kernels = [squared_exponential(), matern_half(), rational_quadratic(), periodic(),
                squared_exponential(0.3, 2.5), matern_half(0.7, 0.3),
                rational_quadratic(0.3, 2.5, alpha=0.7), rational_quadratic(alpha=0.5),
-               rational_quadratic(0.4, alpha=2.5), periodic(0.4, 0.3, period=0.6)]
+               rational_quadratic(0.4, alpha=2.5), periodic(0.4, 0.3, period=0.6),
+               # the extremes of s2, l and p, with s2 exactly 1 and not
+               squared_exponential(1e-3, 1e3), squared_exponential(1e3),
+               matern_half(1e3, 1e-3), matern_half(1e-3),
+               rational_quadratic(1e-3, 1e-3, alpha=0.7), rational_quadratic(1e3, 1e3),
+               periodic(1e-3, 1e3, period=1e3), periodic(1e3, 1e-3, period=1e-3),
+               periodic(1e-3, period=1e-3), periodic(1e3, period=1e3)]
     arrays = [rng.uniform(0.0, 3.0, 1000), rng.uniform(0.0, 1e3, (30, 40)),
               np.array([0.0, -0.0, 1e-300, 0.5, 1.0, 1e100]), np.empty(0)]
     scalars = [0.0, 0.3, 2.0, 1e3, np.float64(0.7), np.array(1.5), 7]
@@ -413,6 +419,46 @@ def test_blas_blocks_keep_the_bits_of_broadcasting(k, X, Z, cut):
     assert K.shape == oracle.shape == (X.size, Z.size)
     assert np.array_equal(K.view(np.int64), oracle.view(np.int64))
     assert np.array_equal(rows.view(np.int64), oracle[cut:].view(np.int64))
+
+
+def _one_line_gram(k, fx, fz):
+    """The periodic or polynomial Gram as one expression of the kind's own
+    features, which broadcast as in ``_gram``."""
+    s2 = k.signal_variance
+    if k.kind == "periodic":
+        (sx, cx), (sz, cz) = fx, fz
+        l = k.lengthscale
+        return s2 * np.exp(-2.0 * (sx * cz - cx * sz) ** 2 / (l * l))
+    return s2 * (fx[0] * fz[0] + k.offset) ** k.degree
+
+
+@pytest.mark.parametrize("kind", ["periodic", "polynomial"])
+def test_gram_finishes_equal_the_one_line_forms(kind):
+    """kernel_matrix, kernel_diagonal and gram_columns equal
+    s2 exp(-2 (sx cz - cx sz)^2 / l^2) and s2 (x z + c)^d on the kind's own
+    features bit for bit, with s2 exactly 1, which the finish does not
+    multiply by, and s2 != 1, and l, p and c log-uniform over [1e-3, 1e3]."""
+    rng = np.random.default_rng(43)
+
+    def log_uniform():
+        return float(10.0 ** rng.uniform(-3.0, 3.0))
+
+    for i in range(40):
+        s2 = 1.0 if i % 2 else log_uniform()
+        if kind == "periodic":
+            k = periodic(log_uniform(), s2, period=log_uniform())
+        else:
+            k = polynomial(log_uniform(), int(rng.integers(1, 6)), s2)
+        X = np.concatenate([rng.uniform(-5.0, 5.0, 30), rng.uniform(-1e3, 1e3, 5)])
+        Z = rng.uniform(-5.0, 5.0, 7)
+        fx, fz = featurize(k, X).flat, featurize(k, Z).flat
+        want = _one_line_gram(k, [f[:, None] for f in fx], fz)
+        assert kernel_matrix(k, X, Z).tobytes() == want.tobytes(), k
+        assert kernel_diagonal(k, X).tobytes() == _one_line_gram(k, fx, fx).tobytes(), k
+        column = gram_columns(k, X)
+        for j in range(0, X.size, 6):
+            want = _one_line_gram(k, fx, [f[j] for f in fx])
+            assert column(j).tobytes() == want.tobytes(), (k, j)
 
 
 def test_features_serve_only_their_kernel():
